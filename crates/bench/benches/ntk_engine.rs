@@ -1,6 +1,6 @@
 //! End-to-end NTK evaluation benchmarks.
 //!
-//! Three comparisons, all on the paper-default NTK configuration (batch 32,
+//! Four comparisons, all on the paper-default NTK configuration (batch 32,
 //! 16×16 proxy networks, two cells):
 //!
 //! 1. **direct vs im2col/GEMM** conv kernels — the PR 1 engine acceptance;
@@ -20,30 +20,24 @@
 //!    fusion over a cached compiled plan) against the eager call tree, both
 //!    on the paper-default blocked-GEMM backend, on the sparse
 //!    [`BENCH_CELL`] where dead edges and scheduling overhead dominate.
-//! 5. **full packing vs forward-only packing** — the packed-backward
-//!    acceptance: one width-[`PACK`] `evaluate_pack_in` sweep of the sparse
-//!    [`BENCH_CELL`] with the per-sample gradient sweep packed (stem and
-//!    same-geometry conv backward kernels merged across pack members)
-//!    against the forward-only packing it extends (the packed forward plus
-//!    one solo backward sweep per member), single rayon thread so the ratio
-//!    measures dispatch amortisation rather than parallelism.
 //!
 //! Headline numbers land in `target/bench-json/ntk_engine.json`.
 //!
 //! # Smoke mode
 //!
 //! `MICRONAS_BENCH_SMOKE=1` runs reduced-iteration versions of the
-//! looped-vs-batched, blocked-vs-SIMD and full-vs-forward-only-packing
-//! comparisons and **fails** (panics) if the batched path regresses below
-//! the looped path, the SIMD backend regresses below the blocked-GEMM
-//! backend on the conv-heavy cell, or the packed backward regresses below
-//! the forward-only packing on the sparse cell — the CI guards against a
-//! silent fallback onto a slow route. Criterion's own `--test` flag still
-//! runs every benchmark body once without timing.
+//! looped-vs-batched, blocked-vs-SIMD and eager-vs-fused comparisons plus a
+//! telemetry NullSink overhead check, and **fails** (panics) if the batched
+//! path regresses below the looped path, the SIMD backend regresses below
+//! the blocked-GEMM backend on the conv-heavy cell, the fused plan regresses
+//! below the eager path on the sparse cell, or the NullSink costs more than
+//! 5% — the CI guards against a silent fallback onto a slow route.
+//! Criterion's own `--test` flag still runs every benchmark body once
+//! without timing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use micronas::{MicroNasConfig, MicroNasSearch, SearchSession};
-use micronas_bench::{banner, batch_stat_fields, cache_stat_fields, record_bench_json};
+use micronas_bench::{banner, cache_stat_fields, record_bench_json};
 use micronas_datasets::DatasetKind;
 use micronas_proxies::{GradientPath, NtkConfig, NtkEvaluator};
 use micronas_searchspace::{CellTopology, Operation, SearchSpace};
@@ -53,9 +47,6 @@ use std::time::Instant;
 /// The cell the engine benchmarks pin (a mid-space architecture with conv,
 /// skip and none edges).
 const BENCH_CELL: usize = 7_000;
-
-/// Pack width of the packed-backward comparison (the context default).
-const PACK: usize = 8;
 
 fn paper_evaluator(path: GradientPath) -> NtkEvaluator {
     NtkEvaluator::new(NtkConfig::paper_default()).with_gradient_path(path)
@@ -114,44 +105,6 @@ fn compiler_seconds(
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Seconds for one width-[`PACK`] packed paper-default NTK sweep of `cell`,
-/// with the per-sample gradient sweep either fully packed (`packed_backward
-/// = true`, this PR) or looped per member over a packed forward
-/// (`false`, the forward-only packing this PR extends), best-of-`rounds`.
-/// Runs on a one-thread rayon pool: the packed sweep's claim is dispatch
-/// amortisation, so it must win without parallelism.
-fn packed_sweep_seconds(
-    cell: CellTopology,
-    packed_backward: bool,
-    runs: usize,
-    rounds: usize,
-) -> f64 {
-    let evaluator =
-        NtkEvaluator::new(NtkConfig::paper_default()).with_packed_backward(packed_backward);
-    let cells = [cell; PACK];
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("pool");
-    pool.install(|| {
-        let mut ws = micronas_tensor::Workspace::default();
-        evaluator
-            .evaluate_pack_in(&cells, DatasetKind::Cifar10, 0, &mut ws)
-            .expect("warm-up");
-        (0..rounds)
-            .map(|_| {
-                let start = Instant::now();
-                for seed in 0..runs {
-                    evaluator
-                        .evaluate_pack_in(&cells, DatasetKind::Cifar10, seed as u64, &mut ws)
-                        .expect("ntk pack");
-                }
-                start.elapsed().as_secs_f64() / runs as f64
-            })
-            .fold(f64::INFINITY, f64::min)
-    })
-}
-
 /// Whether `MICRONAS_BENCH_SMOKE=1` smoke mode is active.
 fn smoke_mode() -> bool {
     std::env::var("MICRONAS_BENCH_SMOKE")
@@ -183,18 +136,10 @@ fn compare_and_record(runs: usize) {
     let eager_sparse = backend_seconds(KernelBackendKind::BlockedGemm, sparse_cell, runs, 3);
     let fused_sparse = compiler_seconds(micronas_graph::CompilerKind::Fusing, sparse_cell, runs, 3);
 
-    // Packed-backward comparison: one width-PACK packed sweep of the sparse
-    // cell, full packing vs the forward-only packing it extends, one rayon
-    // thread, best-of-3.
-    let forward_only_pack = packed_sweep_seconds(sparse_cell, false, runs.min(3), 3);
-    let full_pack = packed_sweep_seconds(sparse_cell, true, runs.min(3), 3);
-
     // Store-backed provenance: how much of a real search's NTK traffic the
-    // evaluation caches absorb, and how densely the mega-batcher packs the
-    // rest. One proxy-only pruning search at the fast scale;
-    // `EvalCacheStats` counts record fetches (a hit was served without
-    // running the proxies at all), `BatchStats` counts packed GEMM
-    // dispatches.
+    // evaluation caches absorb. One proxy-only pruning search at the fast
+    // scale; `EvalCacheStats` counts record fetches (a hit was served
+    // without running the proxies at all).
     let session = SearchSession::builder()
         .dataset(DatasetKind::Cifar10)
         .config(MicroNasConfig::fast())
@@ -205,7 +150,6 @@ fn compare_and_record(runs: usize) {
         .expect("search")
         .cost;
     let cache = cost.cache;
-    let batch = cost.batch;
 
     println!("paper-default NTK evaluation (batch 32, 16x16 proxy, 2 cells):");
     println!("  direct kernels, batched:   {direct:>8.4} s / evaluation");
@@ -228,23 +172,10 @@ fn compare_and_record(runs: usize) {
         eager_sparse / fused_sparse
     );
     println!(
-        "packed backward ({PACK}-wide sweep, forward-only vs full packing, 1 thread, best of 3):"
-    );
-    println!(
-        "  sparse bench cell:         {forward_only_pack:>8.4} s -> {full_pack:>8.4} s  ({:.2}x)",
-        forward_only_pack / full_pack
-    );
-    println!(
         "  search eval-cache:         {} hits / {} misses ({:.1}% absorbed)",
         cache.hits,
         cache.misses,
         cache.hit_rate() * 100.0
-    );
-    println!(
-        "  search pack density:       {} candidates over {} dispatches ({:.1} per dispatch)",
-        batch.computed_candidates,
-        batch.dispatches,
-        batch.candidates_per_dispatch()
     );
 
     let mut fields: Vec<(String, f64)> = vec![
@@ -277,18 +208,8 @@ fn compare_and_record(runs: usize) {
             "speedup_fused_vs_eager_bench_cell".to_string(),
             eager_sparse / fused_sparse,
         ),
-        (
-            "forward_only_packed_seconds_bench_cell".to_string(),
-            forward_only_pack,
-        ),
-        ("full_packed_seconds_bench_cell".to_string(), full_pack),
-        (
-            "speedup_full_vs_forward_only_packed_bench_cell".to_string(),
-            forward_only_pack / full_pack,
-        ),
     ];
     fields.extend(cache_stat_fields("search_cache", &cache));
-    fields.extend(batch_stat_fields("search_batch", &batch));
     record_bench_json("ntk_engine", &fields);
 }
 
@@ -421,43 +342,6 @@ fn bench_ntk_engines(c: &mut Criterion) {
             fused_s <= eager_s * 1.25,
             "the fusing compiler ({fused_s:.4}s) regressed below the eager \
              path ({eager_s:.4}s) on the sparse bench cell"
-        );
-
-        // Packed-backward gate: the fully packed per-sample gradient sweep
-        // must not regress below the forward-only packing it replaced as the
-        // default. Same noise-robustness scheme: interleaved best-of-3, a
-        // warning at parity, a hard failure only past 1.25×.
-        banner(
-            "Packed-backward smoke: full packing must not regress below forward-only",
-            "packed per-sample gradient sweep regression gate (sparse bench cell)",
-        );
-        let (mut forward_only_s, mut full_s) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            forward_only_s = forward_only_s.min(packed_sweep_seconds(sparse_cell, false, 2, 1));
-            full_s = full_s.min(packed_sweep_seconds(sparse_cell, true, 2, 1));
-        }
-        println!("gate: forward-only {forward_only_s:.4}s vs full {full_s:.4}s (best of 3)");
-        record_bench_json(
-            "ntk_engine_packed_backward_smoke",
-            &[
-                ("forward_only_packed_seconds", forward_only_s),
-                ("full_packed_seconds", full_s),
-                (
-                    "speedup_full_vs_forward_only_packed",
-                    forward_only_s / full_s,
-                ),
-            ],
-        );
-        if full_s > forward_only_s {
-            eprintln!(
-                "warning: the packed backward sweep ({full_s:.4}s) is not beating \
-                 forward-only packing ({forward_only_s:.4}s) on this runner"
-            );
-        }
-        assert!(
-            full_s <= forward_only_s * 1.25,
-            "the packed per-sample gradient sweep ({full_s:.4}s) regressed below \
-             forward-only packing ({forward_only_s:.4}s) on the sparse bench cell"
         );
 
         // Telemetry gate: an installed NullSink reports `is_enabled() ==

@@ -13,7 +13,7 @@
 //! variable `MICRONAS_PAPER_SCALE=1` to run the paper-scale configuration
 //! (batch-32 NTK on the 16×16 proxy networks) instead.
 
-use micronas::{BatchStats, EvalCacheStats, MicroNasConfig};
+use micronas::{EvalCacheStats, MicroNasConfig};
 
 /// Returns the experiment configuration for benchmark runs.
 ///
@@ -129,51 +129,6 @@ pub fn cache_stat_fields(prefix: &str, cache: &EvalCacheStats) -> Vec<(String, f
     ]
 }
 
-/// Flattens a [`BatchStats`] into the conventional `{prefix}_dispatches` /
-/// `{prefix}_packed_candidates` / `{prefix}_computed_candidates` /
-/// `{prefix}_pack_width` / `{prefix}_candidates_per_dispatch` /
-/// `{prefix}_fill_rate` bench-json fields, followed by the kernel-level
-/// forward/backward pack-fill split (`{prefix}_forward_kernel_dispatches` /
-/// `_members` / `_fill`, same for `backward`) so recorded runs show whether
-/// the per-sample gradient sweeps merged as densely as the forward probes.
-pub fn batch_stat_fields(prefix: &str, batch: &BatchStats) -> Vec<(String, f64)> {
-    vec![
-        (format!("{prefix}_dispatches"), batch.dispatches as f64),
-        (
-            format!("{prefix}_packed_candidates"),
-            batch.packed_candidates as f64,
-        ),
-        (
-            format!("{prefix}_computed_candidates"),
-            batch.computed_candidates as f64,
-        ),
-        (format!("{prefix}_pack_width"), batch.pack_width as f64),
-        (
-            format!("{prefix}_candidates_per_dispatch"),
-            batch.candidates_per_dispatch(),
-        ),
-        (format!("{prefix}_fill_rate"), batch.fill_rate()),
-        (
-            format!("{prefix}_forward_kernel_dispatches"),
-            batch.forward_kernel_dispatches as f64,
-        ),
-        (
-            format!("{prefix}_forward_kernel_members"),
-            batch.forward_kernel_members as f64,
-        ),
-        (format!("{prefix}_forward_fill"), batch.forward_fill()),
-        (
-            format!("{prefix}_backward_kernel_dispatches"),
-            batch.backward_kernel_dispatches as f64,
-        ),
-        (
-            format!("{prefix}_backward_kernel_members"),
-            batch.backward_kernel_members as f64,
-        ),
-        (format!("{prefix}_backward_fill"), batch.backward_fill()),
-    ]
-}
-
 /// [`write_bench_json`] with the standard bench-target reporting: prints the
 /// recorded path on success and a diagnostic (without failing the bench) on
 /// I/O error.
@@ -270,36 +225,5 @@ mod tests {
             ["cache_hits", "cache_misses", "cache_hit_rate"]
         );
         assert_eq!(fields[2].1, 0.75);
-
-        let batch = BatchStats {
-            dispatches: 2,
-            packed_candidates: 16,
-            computed_candidates: 12,
-            pack_width: 8,
-            forward_kernel_dispatches: 4,
-            forward_kernel_members: 20,
-            backward_kernel_dispatches: 6,
-            backward_kernel_members: 36,
-        };
-        let fields = batch_stat_fields("batch", &batch);
-        assert_eq!(
-            fields.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            [
-                "batch_dispatches",
-                "batch_packed_candidates",
-                "batch_computed_candidates",
-                "batch_pack_width",
-                "batch_candidates_per_dispatch",
-                "batch_fill_rate",
-                "batch_forward_kernel_dispatches",
-                "batch_forward_kernel_members",
-                "batch_forward_fill",
-                "batch_backward_kernel_dispatches",
-                "batch_backward_kernel_members",
-                "batch_backward_fill"
-            ]
-        );
-        assert_eq!(fields[8].1, 5.0);
-        assert_eq!(fields[11].1, 6.0);
     }
 }

@@ -1,13 +1,17 @@
-use crate::{BatchStats, EvalCacheStats, MicroNasConfig, Result};
+use crate::{EvalCacheStats, MicroNasConfig, Result};
 use micronas_datasets::DatasetKind;
 use micronas_hw::{HardwareConstraints, HardwareEvaluator, HardwareIndicators};
 use micronas_nasbench::SurrogateBenchmark;
 use micronas_proxies::{MetricSet, Proxy, ZeroCostEvaluator, ZeroCostMetrics};
 use micronas_searchspace::{Architecture, CellTopology, MacroSkeleton, SearchSpace};
-use micronas_store::{custom_proxy_digest, EvalKey, EvalRecord, EvalStore, GetOrInsertError};
-use parking_lot::{Mutex, RwLock};
+use micronas_store::{
+    custom_proxy_digest, ArchDigest, EvalKey, EvalRecord, EvalStore, GetOrInsertError,
+};
+use parking_lot::Mutex;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -16,6 +20,45 @@ struct RegisteredProxy {
     proxy: Arc<dyn Proxy>,
     /// [`custom_proxy_digest`] of `(id, config fingerprint)`, computed once.
     digest: u64,
+}
+
+/// A cache that computes each entry at most once. Concurrent requests for
+/// one key wait for the first and are then served its value, so "this
+/// request ran the initializer" is decided by the cache rather than by
+/// thread interleaving.
+struct OnceCache<K, V> {
+    slots: Mutex<HashMap<K, Arc<Mutex<Option<V>>>>>,
+}
+
+impl<K: Eq + Hash, V: Clone> OnceCache<K, V> {
+    fn new() -> Self {
+        Self {
+            slots: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The cached value of `key` and `false`, or the value `init` computed
+    /// for it and `true`. A failed `init` caches nothing.
+    fn get_or_try_init(&self, key: K, init: impl FnOnce() -> Result<V>) -> Result<(V, bool)> {
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .entry(key)
+                .or_insert_with(|| Arc::new(Mutex::new(None))),
+        );
+        let mut value = slot.lock();
+        if let Some(cached) = &*value {
+            return Ok((cached.clone(), false));
+        }
+        let fresh = init()?;
+        *value = Some(fresh.clone());
+        Ok((fresh, true))
+    }
+
+    /// Number of keys requested so far.
+    fn len(&self) -> usize {
+        self.slots.lock().len()
+    }
 }
 
 /// Everything a search algorithm needs to evaluate candidates on one dataset:
@@ -62,42 +105,16 @@ pub struct SearchContext {
     ntk_batch: u16,
     store: Option<Arc<EvalStore>>,
     /// Full evaluations by architecture index. `Arc`-boxed so a cache hit
-    /// costs one refcount bump inside the critical section — the deep clone
-    /// of the heap-backed [`MetricSet`] happens after the lock is released,
-    /// off the contended path the rayon scoring workers hammer.
-    cache: Mutex<HashMap<usize, Arc<CandidateEvaluation>>>,
-    /// Hardware indicators by canonical digest. An `RwLock` so the warm
-    /// feasibility path — hammered by rayon workers during evolutionary
-    /// population seeding — takes only a shared read lock.
-    hw_cache: RwLock<HashMap<u64, HardwareIndicators>>,
-    evaluations: Mutex<usize>,
+    /// costs one refcount bump, never a deep clone of the heap-backed
+    /// [`MetricSet`].
+    cache: OnceCache<usize, Arc<CandidateEvaluation>>,
+    /// Hardware indicators by canonical digest, so feasibility checks of
+    /// revisited or isomorphic cells skip the hardware pass.
+    hw_cache: OnceCache<u64, HardwareIndicators>,
+    evaluations: AtomicUsize,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Maximum number of candidates packed into one mega-batched proxy
-    /// sweep (see [`SearchContext::evaluate_pack`]).
-    pack_width: usize,
-    /// Packed proxy sweeps dispatched to the kernels.
-    batch_dispatches: AtomicUsize,
-    /// Candidates submitted through [`SearchContext::evaluate_pack`].
-    batch_packed: AtomicUsize,
-    /// Candidates freshly computed inside a packed sweep.
-    batch_computed: AtomicUsize,
-    /// Snapshot of the process-global packed-kernel fill counters
-    /// ([`micronas_nn::pack_kernel_stats`]) at construction, so
-    /// [`SearchContext::batch_stats`] reports this context's lifetime
-    /// rather than the whole process history. A construction-time baseline
-    /// (instead of per-call deltas) keeps concurrently running packs from
-    /// double-attributing each other's kernel work.
-    kernel_baseline: micronas_nn::PackKernelStats,
 }
-
-/// Default number of candidates packed into one mega-batched proxy sweep.
-///
-/// Eight keeps the packed im2col panels comfortably inside the retained
-/// scratch arena at the paper's probe resolutions while already amortising
-/// the GEMM dispatch overhead across candidates; override per context with
-/// [`SearchContext::with_pack_width`].
-pub const DEFAULT_PACK_WIDTH: usize = 8;
 
 /// The cached evaluation record of one candidate architecture.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -198,33 +215,12 @@ impl SearchContext {
             seed: config.seed,
             ntk_batch: config.ntk.batch_size as u16,
             store,
-            cache: Mutex::new(HashMap::new()),
-            hw_cache: RwLock::new(HashMap::new()),
-            evaluations: Mutex::new(0),
+            cache: OnceCache::new(),
+            hw_cache: OnceCache::new(),
+            evaluations: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            pack_width: DEFAULT_PACK_WIDTH,
-            batch_dispatches: AtomicUsize::new(0),
-            batch_packed: AtomicUsize::new(0),
-            batch_computed: AtomicUsize::new(0),
-            kernel_baseline: micronas_nn::pack_kernel_stats(),
         })
-    }
-
-    /// Sets the maximum number of candidates packed into one mega-batched
-    /// proxy sweep (clamped to at least 1; 1 disables cross-candidate
-    /// packing). Results are bitwise identical for every width — only
-    /// dispatch density changes.
-    #[must_use]
-    pub fn with_pack_width(mut self, width: usize) -> Self {
-        self.pack_width = width.max(1);
-        self
-    }
-
-    /// The maximum number of candidates packed into one mega-batched proxy
-    /// sweep.
-    pub fn pack_width(&self) -> usize {
-        self.pack_width
     }
 
     /// The search space.
@@ -280,7 +276,7 @@ impl SearchContext {
 
     /// Number of distinct architectures evaluated so far (cache misses).
     pub fn evaluation_count(&self) -> usize {
-        *self.evaluations.lock()
+        self.evaluations.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the hit/miss counters: requests served from the context
@@ -292,32 +288,10 @@ impl SearchContext {
         }
     }
 
-    /// Snapshot of the pack-density counters of the mega-batched evaluation
-    /// path (see [`SearchContext::evaluate_pack`]).
-    ///
-    /// The candidate-level counters are private to this context; the
-    /// kernel-level forward/backward fill counters are process-wide deltas
-    /// since this context's construction (other contexts packing in the same
-    /// process would show up here — diff two snapshots around a search with
-    /// [`BatchStats::since`] for an exact attribution).
-    pub fn batch_stats(&self) -> BatchStats {
-        let kernel = micronas_nn::pack_kernel_stats().since(&self.kernel_baseline);
-        BatchStats {
-            dispatches: self.batch_dispatches.load(Ordering::Relaxed),
-            packed_candidates: self.batch_packed.load(Ordering::Relaxed),
-            computed_candidates: self.batch_computed.load(Ordering::Relaxed),
-            pack_width: self.pack_width,
-            forward_kernel_dispatches: kernel.forward_dispatches as usize,
-            forward_kernel_members: kernel.forward_members as usize,
-            backward_kernel_dispatches: kernel.backward_dispatches as usize,
-            backward_kernel_members: kernel.backward_members as usize,
-        }
-    }
-
     /// Fetches (or computes) the zero-cost metrics of the canonical cell.
     fn fetch_zero_cost(&self, canonical: CellTopology) -> Result<ZeroCostMetrics> {
         let Some(store) = &self.store else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.count(false);
             return Ok(self
                 .zero_cost
                 .evaluate(canonical, self.dataset, self.seed)?);
@@ -340,7 +314,7 @@ impl SearchContext {
     /// cell, cached under its `ProxyKind::Custom` store key.
     fn fetch_custom(&self, canonical: CellTopology, entry: &RegisteredProxy) -> Result<f64> {
         let Some(store) = &self.store else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.count(false);
             return Ok(entry.proxy.evaluate(canonical, self.dataset, self.seed)?);
         };
         let key = EvalKey::custom(&canonical, self.dataset, self.seed, entry.digest, 0);
@@ -359,33 +333,31 @@ impl SearchContext {
     }
 
     /// Fetches (or computes) the hardware indicators of the canonical cell.
+    /// Only the request that fills the hardware cache reaches the store and
+    /// counts what it found there; every other request counts a hit.
     fn fetch_hardware(&self, canonical: CellTopology) -> Result<HardwareIndicators> {
-        let digest = micronas_store::ArchDigest::of(&canonical).value();
-        if let Some(hit) = self.hw_cache.read().get(&digest) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(*hit);
+        let digest = ArchDigest::of(&canonical).value();
+        let (indicators, fresh) = self.hw_cache.get_or_try_init(digest, || {
+            let Some(store) = &self.store else {
+                self.count(false);
+                return Ok(self.hardware.evaluate(canonical));
+            };
+            let key = EvalKey::hardware(&canonical, self.dataset);
+            let (record, hit) = store
+                .get_or_try_insert_with(key, || {
+                    Ok::<_, crate::MicroNasError>(EvalRecord::Hardware(
+                        self.hardware.evaluate(canonical),
+                    ))
+                })
+                .map_err(flatten_store_error)?;
+            self.count(hit);
+            record
+                .as_hardware()
+                .ok_or_else(|| record_kind_error("hardware"))
+        })?;
+        if !fresh {
+            self.count(true);
         }
-        let indicators = match &self.store {
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.hardware.evaluate(canonical)
-            }
-            Some(store) => {
-                let key = EvalKey::hardware(&canonical, self.dataset);
-                let (record, hit) = store
-                    .get_or_try_insert_with(key, || {
-                        Ok::<_, crate::MicroNasError>(EvalRecord::Hardware(
-                            self.hardware.evaluate(canonical),
-                        ))
-                    })
-                    .map_err(flatten_store_error)?;
-                self.count(hit);
-                record
-                    .as_hardware()
-                    .ok_or_else(|| record_kind_error("hardware"))?
-            }
-        };
-        self.hw_cache.write().insert(digest, indicators);
         Ok(indicators)
     }
 
@@ -397,268 +369,126 @@ impl SearchContext {
         }
     }
 
+    /// Counts one evaluation's worth of record fetches as hits. The unit of
+    /// the hit/miss counters is one *record* fetch, and a full evaluation
+    /// fetches one record per proxy family (zero-cost + hardware + each
+    /// registered plugin), so an evaluation served without fetching counts
+    /// them all — hit rates stay comparable across cache layers and store
+    /// modes.
+    fn count_evaluation_hits(&self) {
+        self.hits
+            .fetch_add(2 + self.extra_proxies.len(), Ordering::Relaxed);
+    }
+
+    /// The cached evaluation of architecture `index`, or the one `compute`
+    /// builds for it. `compute` runs at most once per architecture; the
+    /// requests it does not run for count as context-cache hits.
+    fn cached(
+        &self,
+        index: usize,
+        compute: impl FnOnce() -> Result<CandidateEvaluation>,
+    ) -> Result<Arc<CandidateEvaluation>> {
+        let (eval, fresh) = self
+            .cache
+            .get_or_try_init(index, || compute().map(Arc::new))?;
+        if fresh {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.count_evaluation_hits();
+        }
+        Ok(eval)
+    }
+
     /// Evaluates (or retrieves from cache) the zero-cost and hardware
     /// indicators of a cell.
     ///
     /// Returns a shared handle to the cached record: a warm hit costs one
     /// refcount bump, never a deep copy of the metric set.
     ///
-    /// Safe to call from parallel candidate-scoring workers: the result is a
+    /// Safe to call from parallel candidate-scoring workers. The result is a
     /// pure function of `(architecture identity, dataset, seed)` — proxies
-    /// run on the cell's canonical form — and the evaluation counter only
-    /// advances when a cell enters the cache for the first time, so counts
-    /// are identical regardless of thread count or interleaving.
+    /// run on the cell's canonical form. Each architecture is computed by
+    /// the first request only: a concurrent request for the same
+    /// architecture waits for it and counts its record fetches as hits, as
+    /// if it had found the cell cached. The evaluation and hit/miss counters
+    /// are therefore independent of thread count and interleaving. (Two
+    /// *isomorphic* cells evaluated concurrently against a shared store both
+    /// reach the store; [`SearchContext::evaluate_all`] deduplicates them
+    /// first.)
     ///
     /// # Errors
     ///
     /// Propagates proxy evaluation failures.
     pub fn evaluate(&self, cell: CellTopology) -> Result<Arc<CandidateEvaluation>> {
-        let arch = Architecture::from_cell(&self.space, cell);
-        let cached = self.cache.lock().get(&arch.index()).map(Arc::clone);
-        if let Some(hit) = cached {
-            // The unit of the hit/miss counters is one *record* fetch. A
-            // full evaluation fetches one record per proxy family (zero-cost
-            // + hardware + each registered plugin), so a context-cache hit —
-            // which short-circuits all of them — counts them all, keeping
-            // hit rates comparable across cache layers and store modes.
-            self.hits
-                .fetch_add(2 + self.extra_proxies.len(), Ordering::Relaxed);
-            return Ok(hit);
-        }
-        let canonical = cell.canonical_form();
-        let mut metrics = self.fetch_zero_cost(canonical)?.metric_set();
-        for entry in &self.extra_proxies {
-            metrics.insert(entry.proxy.id(), self.fetch_custom(canonical, entry)?);
-        }
-        let hardware = self.fetch_hardware(canonical)?;
-        let feasible = self.constraints.satisfied_by(&hardware);
-        let eval = Arc::new(CandidateEvaluation {
-            arch_index: arch.index(),
-            metrics,
-            hardware,
-            feasible,
-        });
-        // Two workers may race to evaluate the same cell; both compute the
-        // same pure value, but only the first insertion counts it.
-        if self
-            .cache
-            .lock()
-            .insert(arch.index(), Arc::clone(&eval))
-            .is_none()
-        {
-            *self.evaluations.lock() += 1;
-        }
-        Ok(eval)
+        let index = Architecture::from_cell(&self.space, cell).index();
+        self.cached(index, || {
+            let canonical = cell.canonical_form();
+            let mut metrics = self.fetch_zero_cost(canonical)?.metric_set();
+            for entry in &self.extra_proxies {
+                metrics.insert(entry.proxy.id(), self.fetch_custom(canonical, entry)?);
+            }
+            let hardware = self.fetch_hardware(canonical)?;
+            Ok(CandidateEvaluation {
+                arch_index: index,
+                metrics,
+                feasible: self.constraints.satisfied_by(&hardware),
+                hardware,
+            })
+        })
     }
 
-    /// Evaluates a group of candidate cells through the cross-candidate
-    /// mega-batched proxy path.
+    /// Evaluates a whole candidate slate on the rayon pool and returns the
+    /// evaluations in slate order.
     ///
-    /// Candidates not already served by the context cache or the shared
-    /// store are deduplicated by canonical form and dispatched as **one**
-    /// packed zero-cost sweep
-    /// ([`ZeroCostEvaluator::evaluate_pack`][zc-pack]), in which
-    /// same-geometry convolutions of different candidates share a single
-    /// wide GEMM per layer. Element `i` of the result is the same shared
-    /// handle [`SearchContext::evaluate`] would have returned for
-    /// `cells[i]`, bitwise identical at every pack width and thread count,
-    /// and the hit/miss/evaluation counters advance exactly as if the
-    /// candidates had been evaluated one at a time in order.
-    ///
-    /// [zc-pack]: micronas_proxies::ZeroCostEvaluator::evaluate_pack
+    /// The slate is first deduplicated by canonical digest; each distinct
+    /// canonical class is then evaluated once, by its first member in slate
+    /// order, and exact duplicates and isomorphic twins are resolved
+    /// afterwards, in slate order, from their class's evaluation (counting
+    /// as context-cache hits). Element `i` is bitwise what
+    /// [`SearchContext::evaluate`] returns for `cells[i]`, and the results
+    /// and counters are identical at every thread count: no two workers
+    /// ever fetch the same store record.
     ///
     /// # Errors
     ///
-    /// Propagates proxy evaluation failures.
-    pub fn evaluate_pack(&self, cells: &[CellTopology]) -> Result<Vec<Arc<CandidateEvaluation>>> {
-        if cells.len() <= 1 {
-            return cells.iter().map(|&cell| self.evaluate(cell)).collect();
-        }
-        self.batch_packed.fetch_add(cells.len(), Ordering::Relaxed);
-        micronas_telemetry::counter_add("search.pack.candidates", cells.len() as u64);
-
-        // Per-candidate resolution state while the pack is in flight.
-        enum Slot {
-            Done(Arc<CandidateEvaluation>),
-            /// Same architecture index as an earlier pack member: shares its
-            /// record, exactly as the sequential loop's context-cache hit
-            /// would.
-            DuplicateOf(usize),
-            Pending {
-                arch_index: usize,
-                canonical: CellTopology,
-                /// Zero-cost metrics probed from the warm store, if any.
-                stored: Option<ZeroCostMetrics>,
-            },
-        }
-
-        let extra = self.extra_proxies.len();
-        let mut slots: Vec<Slot> = Vec::with_capacity(cells.len());
-        let mut first_slot_of: HashMap<usize, usize> = HashMap::new();
-        for (i, &cell) in cells.iter().enumerate() {
-            let arch = Architecture::from_cell(&self.space, cell);
-            let cached = self.cache.lock().get(&arch.index()).map(Arc::clone);
-            if let Some(hit) = cached {
-                self.hits.fetch_add(2 + extra, Ordering::Relaxed);
-                slots.push(Slot::Done(hit));
-                continue;
-            }
-            if let Some(&first) = first_slot_of.get(&arch.index()) {
-                // By the time the sequential loop reached this candidate,
-                // its first occurrence would already sit in the context
-                // cache — count the same hits here.
-                self.hits.fetch_add(2 + extra, Ordering::Relaxed);
-                slots.push(Slot::DuplicateOf(first));
-                continue;
-            }
-            first_slot_of.insert(arch.index(), i);
-            let canonical = cell.canonical_form();
-            // Probe the store *without* inserting, so a warm store keeps
-            // short-circuiting the proxies before any kernel runs. A hit
-            // counts exactly where the sequential path counts it; a probe
-            // miss stays silent — the post-sweep insertion below counts the
-            // miss (or the hit, if another worker races us in).
-            let stored = match &self.store {
-                Some(store) => {
-                    let key =
-                        EvalKey::zero_cost(&canonical, self.dataset, self.seed, self.ntk_batch);
-                    let stored = store.get(&key).and_then(|record| record.as_zero_cost());
-                    if stored.is_some() {
-                        self.count(true);
-                    }
-                    stored
+    /// Propagates proxy evaluation failures (the first failing class in
+    /// slate order wins).
+    pub fn evaluate_all(&self, cells: &[CellTopology]) -> Result<Vec<Arc<CandidateEvaluation>>> {
+        let mut class_of_digest: HashMap<u64, usize> = HashMap::new();
+        let mut representatives: Vec<CellTopology> = Vec::new();
+        let classes: Vec<usize> = cells
+            .iter()
+            .map(|cell| {
+                let digest = ArchDigest::of(&cell.canonical_form()).value();
+                *class_of_digest.entry(digest).or_insert_with(|| {
+                    representatives.push(*cell);
+                    representatives.len() - 1
+                })
+            })
+            .collect();
+        let evaluated: Vec<Arc<CandidateEvaluation>> = representatives
+            .par_iter()
+            .map(|&cell| self.evaluate(cell))
+            .collect::<Result<_>, _>()?;
+        let mut resolved = vec![false; evaluated.len()];
+        cells
+            .iter()
+            .zip(classes)
+            .map(|(&cell, class)| {
+                let class_eval = &evaluated[class];
+                if !std::mem::replace(&mut resolved[class], true) {
+                    return Ok(Arc::clone(class_eval));
                 }
-                None => None,
-            };
-            slots.push(Slot::Pending {
-                arch_index: arch.index(),
-                canonical,
-                stored,
-            });
-        }
-
-        // Deduplicate the unresolved canonicals and run them through ONE
-        // packed proxy sweep. Evaluation is a pure function of the canonical
-        // form, so isomorphic pack members share one computation.
-        let mut unique: Vec<CellTopology> = Vec::new();
-        let mut unique_index_of: HashMap<u64, usize> = HashMap::new();
-        for slot in &slots {
-            if let Slot::Pending {
-                canonical,
-                stored: None,
-                ..
-            } = slot
-            {
-                let digest = micronas_store::ArchDigest::of(canonical).value();
-                if let std::collections::hash_map::Entry::Vacant(entry) =
-                    unique_index_of.entry(digest)
-                {
-                    entry.insert(unique.len());
-                    unique.push(*canonical);
-                }
-            }
-        }
-        let computed: Vec<ZeroCostMetrics> = if unique.is_empty() {
-            Vec::new()
-        } else {
-            self.batch_dispatches.fetch_add(1, Ordering::Relaxed);
-            self.batch_computed
-                .fetch_add(unique.len(), Ordering::Relaxed);
-            micronas_telemetry::counter_add("search.pack.dispatches", 1);
-            micronas_telemetry::counter_add("search.pack.computed_candidates", unique.len() as u64);
-            micronas_telemetry::gauge_max(
-                "search.pack.fill_permille",
-                (unique.len().min(self.pack_width) * 1000 / self.pack_width.max(1)) as u64,
-            );
-            let metrics = {
-                let _span = micronas_telemetry::span!("search.pack_eval");
-                self.zero_cost
-                    .evaluate_pack(&unique, self.dataset, self.seed)?
-            };
-            // Measured kernel-level pack density, split by sweep direction
-            // (permille of pack members per packed dispatch, scaled by the
-            // configured width): a backward gauge lagging the forward one
-            // means the per-sample gradient sweeps only partially merged.
-            let kernel = micronas_nn::pack_kernel_stats().since(&self.kernel_baseline);
-            if kernel.forward_dispatches > 0 {
-                micronas_telemetry::gauge_max(
-                    "search.pack.forward_fill_permille",
-                    (kernel.forward_fill() * 1000.0 / self.pack_width.max(1) as f64) as u64,
-                );
-            }
-            if kernel.backward_dispatches > 0 {
-                micronas_telemetry::gauge_max(
-                    "search.pack.backward_fill_permille",
-                    (kernel.backward_fill() * 1000.0 / self.pack_width.max(1) as f64) as u64,
-                );
-            }
-            metrics
-        };
-
-        // Resolve every candidate in order; the per-record bookkeeping below
-        // mirrors the sequential path line for line.
-        let mut out: Vec<Arc<CandidateEvaluation>> = Vec::with_capacity(cells.len());
-        for slot in &slots {
-            match slot {
-                Slot::Done(eval) => out.push(Arc::clone(eval)),
-                Slot::DuplicateOf(first) => out.push(Arc::clone(&out[*first])),
-                Slot::Pending {
-                    arch_index,
-                    canonical,
-                    stored,
-                } => {
-                    let zero_cost = match (stored, &self.store) {
-                        (Some(zc), _) => *zc,
-                        (None, None) => {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                            let digest = micronas_store::ArchDigest::of(canonical).value();
-                            computed[unique_index_of[&digest]]
-                        }
-                        (None, Some(store)) => {
-                            let digest = micronas_store::ArchDigest::of(canonical).value();
-                            let value = computed[unique_index_of[&digest]];
-                            let key = EvalKey::zero_cost(
-                                canonical,
-                                self.dataset,
-                                self.seed,
-                                self.ntk_batch,
-                            );
-                            let (record, hit) = store
-                                .get_or_try_insert_with(key, || {
-                                    Ok::<_, crate::MicroNasError>(EvalRecord::ZeroCost(value))
-                                })
-                                .map_err(flatten_store_error)?;
-                            self.count(hit);
-                            record
-                                .as_zero_cost()
-                                .ok_or_else(|| record_kind_error("zero-cost"))?
-                        }
-                    };
-                    let mut metrics = zero_cost.metric_set();
-                    for entry in &self.extra_proxies {
-                        metrics.insert(entry.proxy.id(), self.fetch_custom(*canonical, entry)?);
-                    }
-                    let hardware = self.fetch_hardware(*canonical)?;
-                    let feasible = self.constraints.satisfied_by(&hardware);
-                    let eval = Arc::new(CandidateEvaluation {
-                        arch_index: *arch_index,
-                        metrics,
-                        hardware,
-                        feasible,
-                    });
-                    if self
-                        .cache
-                        .lock()
-                        .insert(*arch_index, Arc::clone(&eval))
-                        .is_none()
-                    {
-                        *self.evaluations.lock() += 1;
-                    }
-                    out.push(eval);
-                }
-            }
-        }
-        Ok(out)
+                let index = Architecture::from_cell(&self.space, cell).index();
+                self.cached(index, || {
+                    self.count_evaluation_hits();
+                    Ok(CandidateEvaluation {
+                        arch_index: index,
+                        ..(**class_eval).clone()
+                    })
+                })
+            })
+            .collect()
     }
 
     /// The hardware indicators of a cell, served from the caches or the
@@ -762,7 +592,7 @@ impl std::fmt::Debug for SearchContext {
         f.debug_struct("SearchContext")
             .field("dataset", &self.dataset)
             .field("seed", &self.seed)
-            .field("cached_evaluations", &self.cache.lock().len())
+            .field("cached_evaluations", &self.cache.len())
             .field("store", &self.store.as_ref().map(|s| s.namespace()))
             .finish()
     }
@@ -1053,9 +883,9 @@ mod tests {
         );
     }
 
-    /// A pack mixing fresh cells, an exact duplicate and an isomorphic twin
-    /// — the shapes the batched strategies submit.
-    fn pack_cells(ctx: &SearchContext) -> Vec<CellTopology> {
+    /// A slate mixing fresh cells, exact duplicates and an isomorphic twin —
+    /// the shapes the strategies submit — with three canonical classes.
+    fn mixed_slate(ctx: &SearchContext) -> Vec<CellTopology> {
         let base = CellTopology::new([
             Operation::NorConv3x3,
             Operation::SkipConnect,
@@ -1070,78 +900,141 @@ mod tests {
             ctx.space().cell(7_000).unwrap(),
             ctx.space().cell(5_000).unwrap(),
             base.intermediate_swap().unwrap(),
+            ctx.space().cell(7_000).unwrap(),
+            base,
         ]
     }
 
-    #[test]
-    fn packed_evaluation_matches_sequential_evaluation_and_counters() {
-        let config = MicroNasConfig::tiny_test();
-        let seq_ctx = SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
-        let pack_ctx = SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
-        let cells = pack_cells(&seq_ctx);
-
-        let sequential: Vec<_> = cells
-            .iter()
-            .map(|&c| seq_ctx.evaluate(c).unwrap())
-            .collect();
-        let packed = pack_ctx.evaluate_pack(&cells).unwrap();
-
-        assert_eq!(packed.len(), sequential.len());
-        for (i, (s, p)) in sequential.iter().zip(&packed).enumerate() {
-            assert_eq!(**s, **p, "member {i}");
-        }
-        assert_eq!(seq_ctx.evaluation_count(), pack_ctx.evaluation_count());
-        assert_eq!(seq_ctx.cache_stats(), pack_ctx.cache_stats());
-        let batch = pack_ctx.batch_stats();
-        assert_eq!(batch.dispatches, 1, "one packed sweep for the fresh cells");
-        assert_eq!(batch.packed_candidates, cells.len());
-        assert_eq!(
-            batch.computed_candidates, 3,
-            "duplicate and isomorphic members dedup before dispatch"
-        );
+    fn run_on_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
     }
 
     #[test]
-    fn packed_evaluation_counters_match_on_a_warm_store() {
+    fn evaluate_all_computes_each_canonical_class_once() {
+        let config = MicroNasConfig::tiny_test();
+        let reference: Vec<CandidateEvaluation> = {
+            let ctx = SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
+            mixed_slate(&ctx)
+                .iter()
+                .map(|&c| (*ctx.evaluate(c).unwrap()).clone())
+                .collect()
+        };
+        let classes = 3;
+        let arch_indices = 4;
+        for with_store in [false, true] {
+            let mut runs = Vec::new();
+            for threads in [1usize, 4] {
+                let ctx = match with_store {
+                    false => SearchContext::new(DatasetKind::Cifar10, &config).unwrap(),
+                    true => SearchContext::with_store(
+                        DatasetKind::Cifar10,
+                        &config,
+                        Arc::new(EvalStore::in_memory(config.store_namespace())),
+                    )
+                    .unwrap(),
+                };
+                let cells = mixed_slate(&ctx);
+                let evals = run_on_threads(threads, || ctx.evaluate_all(&cells).unwrap());
+                let evals: Vec<CandidateEvaluation> = evals.iter().map(|e| (**e).clone()).collect();
+                let label = format!("store {with_store}, {threads} threads");
+                assert_eq!(evals, reference, "{label}: values");
+                let stats = ctx.cache_stats();
+                assert_eq!(
+                    stats.misses,
+                    2 * classes,
+                    "{label}: one zero-cost and one hardware computation per class"
+                );
+                assert_eq!(
+                    stats.hits,
+                    2 * (cells.len() - classes),
+                    "{label}: every other member is served without fetching"
+                );
+                assert_eq!(ctx.evaluation_count(), arch_indices, "{label}");
+                if let Some(store) = ctx.store() {
+                    let store_stats = store.stats();
+                    assert_eq!(store_stats.misses, 2 * classes as u64, "{label}");
+                    assert_eq!(store_stats.entries, 2 * classes as u64, "{label}");
+                }
+                runs.push((evals, stats));
+            }
+            assert_eq!(runs[0], runs[1], "store {with_store}: 1 vs 4 threads");
+        }
+    }
+
+    #[test]
+    fn evaluate_all_on_a_warm_store_computes_nothing() {
         let config = MicroNasConfig::tiny_test();
         let store = Arc::new(EvalStore::in_memory(config.store_namespace()));
         let warmer =
             SearchContext::with_store(DatasetKind::Cifar10, &config, store.clone()).unwrap();
-        let cells = pack_cells(&warmer);
-        let expected = warmer.evaluate_pack(&cells).unwrap();
+        let cells = mixed_slate(&warmer);
+        let expected = warmer.evaluate_all(&cells).unwrap();
 
         let warm = SearchContext::with_store(DatasetKind::Cifar10, &config, store).unwrap();
-        let packed = warm.evaluate_pack(&cells).unwrap();
-        for (s, p) in expected.iter().zip(&packed) {
-            assert_eq!(**s, **p);
+        let evals = warm.evaluate_all(&cells).unwrap();
+        for (e, w) in expected.iter().zip(&evals) {
+            assert_eq!(**e, **w);
         }
         assert_eq!(
             warm.cache_stats().misses,
             0,
-            "a warm store serves the whole pack without running kernels"
-        );
-        assert_eq!(
-            warm.batch_stats().dispatches,
-            0,
-            "nothing left to dispatch under a warm store"
+            "a warm store serves the whole slate without running kernels"
         );
     }
 
     #[test]
-    fn packed_evaluation_handles_degenerate_packs() {
+    fn evaluate_all_handles_empty_and_single_slates() {
         let config = MicroNasConfig::tiny_test();
         let ctx = SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
-        assert!(ctx.evaluate_pack(&[]).unwrap().is_empty());
+        assert!(ctx.evaluate_all(&[]).unwrap().is_empty());
         let cell = ctx.space().cell(123).unwrap();
-        let one = ctx.evaluate_pack(&[cell]).unwrap();
+        let one = ctx.evaluate_all(&[cell]).unwrap();
         assert_eq!(one.len(), 1);
         assert_eq!(*one[0], *ctx.evaluate(cell).unwrap());
-        assert_eq!(
-            ctx.batch_stats().packed_candidates,
-            0,
-            "width-1 packs take the sequential path"
-        );
-        assert_eq!(ctx.with_pack_width(0).pack_width(), 1, "width clamps to 1");
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_cell_compute_it_once() {
+        let config = MicroNasConfig::tiny_test();
+        for with_store in [false, true] {
+            let ctx = match with_store {
+                false => SearchContext::new(DatasetKind::Cifar10, &config).unwrap(),
+                true => SearchContext::with_store(
+                    DatasetKind::Cifar10,
+                    &config,
+                    Arc::new(EvalStore::in_memory(config.store_namespace())),
+                )
+                .unwrap(),
+            };
+            let cell = ctx.space().cell(7_000).unwrap();
+            let workers = 4;
+            let start = std::sync::Barrier::new(workers);
+            let evals: Vec<_> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            ctx.evaluate(cell).unwrap()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(evals.iter().all(|e| **e == *evals[0]));
+            assert_eq!(ctx.evaluation_count(), 1, "store {with_store}");
+            assert_eq!(
+                ctx.cache_stats(),
+                EvalCacheStats {
+                    hits: 2 * (workers - 1),
+                    misses: 2
+                },
+                "store {with_store}: the waiting requests count as cache hits"
+            );
+        }
     }
 
     #[test]

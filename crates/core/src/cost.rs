@@ -20,117 +20,6 @@ pub struct SearchCost {
     /// Evaluation-cache traffic of the search: requests served from the
     /// context cache or the shared evaluation store versus freshly computed.
     pub cache: EvalCacheStats,
-    /// Pack-density accounting of the cross-candidate mega-batched
-    /// evaluation path (all-zero for searches that never packed).
-    pub batch: BatchStats,
-}
-
-/// Pack-density accounting for the cross-candidate mega-batched evaluator.
-///
-/// The batched candidate path ([`crate::BatchedEvaluator`] /
-/// `SearchContext::evaluate_pack`) groups several candidates into one proxy
-/// sweep so same-geometry convolutions share a single wide GEMM dispatch.
-/// These counters record how densely that packing actually ran: how many
-/// packed sweeps were issued, how many candidates rode through them, and how
-/// many of those candidates' proxies were computed fresh inside a sweep (the
-/// rest were served by a cache or the shared store before any kernel ran).
-/// Like [`EvalCacheStats`], pack density varies with cache and store warmth,
-/// so it lives in the cost record, not in the bitwise-stable outcome parts.
-///
-/// Since the backward sweep packs too, the candidate-level counters above
-/// are joined by **kernel-level** fill counters split by sweep direction:
-/// one *forward* dispatch is a packed forward conv bucket, one *backward*
-/// dispatch is a packed weight-gradient or input-gradient bucket (the stem's
-/// full-width packed backward included), and `members / dispatches` is the
-/// measured average pack fill of each direction. A backward fill lagging the
-/// forward fill would mean per-sample gradient sweeps only partially merged
-/// — visible here instead of averaged into one number. The kernel counters
-/// are process-wide (reported relative to the context's construction), so
-/// they are meaningful as deltas around a search, not across concurrently
-/// running contexts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub struct BatchStats {
-    /// Packed proxy sweeps issued (one per [`ZeroCostEvaluator::evaluate_pack`]
-    /// call that reached the kernels).
-    ///
-    /// [`ZeroCostEvaluator::evaluate_pack`]: micronas_proxies::ZeroCostEvaluator::evaluate_pack
-    pub dispatches: usize,
-    /// Candidates submitted through the packed evaluation path.
-    pub packed_candidates: usize,
-    /// Candidates whose zero-cost proxies were freshly computed inside a
-    /// packed sweep (deduplicated by canonical form before dispatch).
-    pub computed_candidates: usize,
-    /// The configured maximum pack width (candidates per sweep).
-    pub pack_width: usize,
-    /// Packed forward conv kernel buckets dispatched.
-    pub forward_kernel_dispatches: usize,
-    /// Pack members served by the packed forward conv buckets.
-    pub forward_kernel_members: usize,
-    /// Packed backward kernel buckets dispatched (weight-gradient +
-    /// input-gradient, the stem's full-width packed backward included).
-    pub backward_kernel_dispatches: usize,
-    /// Pack members served by the packed backward buckets.
-    pub backward_kernel_members: usize,
-}
-
-impl BatchStats {
-    /// Counter deltas accumulated since an earlier snapshot (the
-    /// configuration-like `pack_width` is carried over, not subtracted).
-    pub fn since(&self, earlier: &BatchStats) -> BatchStats {
-        BatchStats {
-            dispatches: self.dispatches - earlier.dispatches,
-            packed_candidates: self.packed_candidates - earlier.packed_candidates,
-            computed_candidates: self.computed_candidates - earlier.computed_candidates,
-            pack_width: self.pack_width,
-            forward_kernel_dispatches: self.forward_kernel_dispatches
-                - earlier.forward_kernel_dispatches,
-            forward_kernel_members: self.forward_kernel_members - earlier.forward_kernel_members,
-            backward_kernel_dispatches: self.backward_kernel_dispatches
-                - earlier.backward_kernel_dispatches,
-            backward_kernel_members: self.backward_kernel_members - earlier.backward_kernel_members,
-        }
-    }
-
-    /// Average pack members per packed forward conv dispatch; 0.0 when no
-    /// packed forward bucket ran.
-    pub fn forward_fill(&self) -> f64 {
-        if self.forward_kernel_dispatches == 0 {
-            0.0
-        } else {
-            self.forward_kernel_members as f64 / self.forward_kernel_dispatches as f64
-        }
-    }
-
-    /// Average pack members per packed backward dispatch; 0.0 when no packed
-    /// backward bucket ran.
-    pub fn backward_fill(&self) -> f64 {
-        if self.backward_kernel_dispatches == 0 {
-            0.0
-        } else {
-            self.backward_kernel_members as f64 / self.backward_kernel_dispatches as f64
-        }
-    }
-
-    /// Mean number of freshly computed candidates per packed sweep; 0.0 when
-    /// no sweep was dispatched.
-    pub fn candidates_per_dispatch(&self) -> f64 {
-        if self.dispatches == 0 {
-            0.0
-        } else {
-            self.computed_candidates as f64 / self.dispatches as f64
-        }
-    }
-
-    /// Fraction of the issued pack capacity that carried fresh work, in
-    /// `[0, 1]`; 0.0 when nothing was dispatched.
-    pub fn fill_rate(&self) -> f64 {
-        let capacity = self.dispatches * self.pack_width.max(1);
-        if capacity == 0 {
-            0.0
-        } else {
-            self.computed_candidates as f64 / capacity as f64
-        }
-    }
 }
 
 /// Hit/miss accounting for candidate evaluations.
@@ -238,47 +127,6 @@ mod tests {
         };
         let ratio = micro.efficiency_vs(&munas);
         assert!(ratio > 1_000.0 && ratio < 1_300.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn batch_stats_density_and_delta() {
-        let earlier = BatchStats {
-            dispatches: 1,
-            packed_candidates: 8,
-            computed_candidates: 6,
-            pack_width: 8,
-            forward_kernel_dispatches: 4,
-            forward_kernel_members: 20,
-            backward_kernel_dispatches: 9,
-            backward_kernel_members: 48,
-        };
-        let later = BatchStats {
-            dispatches: 3,
-            packed_candidates: 24,
-            computed_candidates: 18,
-            pack_width: 8,
-            forward_kernel_dispatches: 12,
-            forward_kernel_members: 68,
-            backward_kernel_dispatches: 25,
-            backward_kernel_members: 160,
-        };
-        let delta = later.since(&earlier);
-        assert_eq!(delta.dispatches, 2);
-        assert_eq!(delta.packed_candidates, 16);
-        assert_eq!(delta.computed_candidates, 12);
-        assert_eq!(delta.pack_width, 8, "pack width carries over");
-        assert!((delta.candidates_per_dispatch() - 6.0).abs() < 1e-12);
-        assert!((delta.fill_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(delta.forward_kernel_dispatches, 8);
-        assert_eq!(delta.forward_kernel_members, 48);
-        assert_eq!(delta.backward_kernel_dispatches, 16);
-        assert_eq!(delta.backward_kernel_members, 112);
-        assert!((delta.forward_fill() - 6.0).abs() < 1e-12);
-        assert!((delta.backward_fill() - 7.0).abs() < 1e-12);
-        assert_eq!(BatchStats::default().candidates_per_dispatch(), 0.0);
-        assert_eq!(BatchStats::default().fill_rate(), 0.0);
-        assert_eq!(BatchStats::default().forward_fill(), 0.0);
-        assert_eq!(BatchStats::default().backward_fill(), 0.0);
     }
 
     #[test]

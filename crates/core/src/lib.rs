@@ -73,7 +73,6 @@
 
 #![warn(missing_docs)]
 
-mod batch;
 mod config;
 mod context;
 mod cost;
@@ -85,10 +84,9 @@ mod outcome;
 mod search;
 mod session;
 
-pub use batch::{BatchedEvaluator, SlatePlan, SlateScheduler};
 pub use config::MicroNasConfig;
-pub use context::{CandidateEvaluation, SearchContext, DEFAULT_PACK_WIDTH};
-pub use cost::{BatchStats, EvalCacheStats, SearchCost};
+pub use context::{CandidateEvaluation, SearchContext};
+pub use cost::{EvalCacheStats, SearchCost};
 pub use error::MicroNasError;
 pub use events::{replay_diff, replay_events, EventRecorder, RecordedEvent};
 pub use objective::{HybridObjective, ObjectiveWeights};

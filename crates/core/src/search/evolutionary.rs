@@ -1,11 +1,12 @@
 use crate::{
-    BatchedEvaluator, MicroNasError, NullObserver, Result, SearchContext, SearchCost, SearchEvent,
-    SearchObserver, SearchOutcome, SearchStrategy,
+    MicroNasError, NullObserver, Result, SearchContext, SearchCost, SearchEvent, SearchObserver,
+    SearchOutcome, SearchStrategy,
 };
 use micronas_searchspace::{mutate, random_architecture, Architecture, CellTopology};
 use micronas_tensor::hash_mix;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 use std::time::Instant;
@@ -104,7 +105,6 @@ impl SearchStrategy for EvolutionarySearch {
         });
         let start = Instant::now();
         let cache_before = ctx.cache_stats();
-        let batch_before = ctx.batch_stats();
         let mut rng = ChaCha8Rng::seed_from_u64(ctx.seed().wrapping_add(0x45564F));
         let mut simulated_gpu_hours = 0.0f64;
         let mut trained: HashSet<usize> = HashSet::new();
@@ -129,12 +129,10 @@ impl SearchStrategy for EvolutionarySearch {
 
         // Seed the population with feasible random candidates. Candidate
         // `i` is drawn from its own ChaCha8 stream keyed by
-        // `(base seed, attempt index)` and feasibility is checked in bulk
-        // through the batched evaluator's front-end on the rayon pool; the
-        // population is then filled in attempt order, so the result is
-        // bitwise identical for every thread count.
+        // `(base seed, attempt index)` and feasibility is checked in bulk on
+        // the rayon pool; the population is then filled in attempt order,
+        // so the result is bitwise identical for every thread count.
         let base_seed = ctx.seed().wrapping_add(0x45564F);
-        let evaluator = BatchedEvaluator::new(ctx);
         let mut population: VecDeque<(Architecture, f64)> =
             VecDeque::with_capacity(self.config.population);
         let max_attempts = self.config.population * 200;
@@ -148,7 +146,10 @@ impl SearchStrategy for EvolutionarySearch {
                 })
                 .collect();
             let cells: Vec<CellTopology> = batch.iter().map(|arch| *arch.cell()).collect();
-            let feasibility = evaluator.feasibility_all(&cells)?;
+            let feasibility: Vec<bool> = cells
+                .par_iter()
+                .map(|&cell| ctx.is_feasible(cell))
+                .collect::<Result<_>, _>()?;
             for (arch, ok) in batch.into_iter().zip(feasibility) {
                 if ok && population.len() < self.config.population {
                     let fit = fitness(&arch, &mut trained, &mut simulated_gpu_hours);
@@ -224,7 +225,6 @@ impl SearchStrategy for EvolutionarySearch {
                 simulated_gpu_hours,
                 evaluations: trained.len(),
                 cache: ctx.cache_stats().since(&cache_before),
-                batch: ctx.batch_stats().since(&batch_before),
             },
             algorithm: ALGORITHM_NAME.to_string(),
             history,

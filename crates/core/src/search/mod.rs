@@ -56,6 +56,7 @@ mod thread_determinism_tests {
         assert_eq!(a.evaluation, b.evaluation);
         assert_eq!(a.test_accuracy, b.test_accuracy);
         assert_eq!(a.cost.evaluations, b.cost.evaluations);
+        assert_eq!(a.cost.cache, b.cost.cache);
         // The decisive check: bitwise-equal score trajectories.
         assert_eq!(a.history, b.history);
     }

@@ -1,7 +1,6 @@
 use crate::{
-    BatchedEvaluator, CandidateEvaluation, HybridObjective, MicroNasError, NullObserver,
-    ObjectiveWeights, Result, SearchContext, SearchCost, SearchEvent, SearchObserver,
-    SearchOutcome, SearchStrategy,
+    CandidateEvaluation, HybridObjective, MicroNasError, NullObserver, ObjectiveWeights, Result,
+    SearchContext, SearchCost, SearchEvent, SearchObserver, SearchOutcome, SearchStrategy,
 };
 use micronas_searchspace::{CellTopology, EdgeId, Operation, Supernet};
 use std::time::Instant;
@@ -102,22 +101,18 @@ impl SearchStrategy for MicroNasSearch {
         let start = Instant::now();
         let evaluations_before = ctx.evaluation_count();
         let cache_before = ctx.cache_stats();
-        let batch_before = ctx.batch_stats();
         let mut supernet = Supernet::full();
         let mut history = Vec::new();
 
         while !supernet.is_collapsed() {
             let _step_span = micronas_telemetry::span!("strategy.step");
             // Enumerate the candidate (edge, op) assignments of this prune
-            // step, then push the whole slate through the mega-batched
-            // evaluator: packs of candidates run concurrently on the rayon
-            // pool, each fusing its members' same-geometry convolutions
-            // into shared GEMM dispatches. Evaluation is a pure cached
-            // function of the cell and the reduction below walks the
-            // results in enumeration order with a strict `<` (first
-            // candidate wins ties), so the chosen prune — and therefore the
-            // whole search trajectory — is bitwise identical for every
-            // thread count and pack width.
+            // step, then evaluate the whole slate on the rayon pool.
+            // Evaluation is a pure cached function of the cell and the
+            // reduction below walks the results in enumeration order with a
+            // strict `<` (first candidate wins ties), so the chosen prune —
+            // and therefore the whole search trajectory — is bitwise
+            // identical for every thread count.
             let mut candidates: Vec<(EdgeId, Operation)> = Vec::new();
             for edge in supernet.undecided_edges() {
                 for op in supernet.candidates(edge)? {
@@ -128,7 +123,7 @@ impl SearchStrategy for MicroNasSearch {
                 .iter()
                 .map(|&(edge, op)| supernet.representative_cell(true).with_op(edge, op))
                 .collect::<std::result::Result<_, _>>()?;
-            let evals = BatchedEvaluator::new(ctx).evaluate_all(&cells)?;
+            let evals = ctx.evaluate_all(&cells)?;
 
             let mut weakest: Option<(EdgeId, Operation, f64)> = None;
             for (&(edge, op), eval) in candidates.iter().zip(&evals) {
@@ -170,7 +165,6 @@ impl SearchStrategy for MicroNasSearch {
                 simulated_gpu_hours: 0.0,
                 evaluations: ctx.evaluation_count() - evaluations_before,
                 cache: ctx.cache_stats().since(&cache_before),
-                batch: ctx.batch_stats().since(&batch_before),
             },
             algorithm: self.algorithm_name.clone(),
             history,
@@ -205,12 +199,6 @@ mod tests {
         );
         assert!(outcome.cost.evaluations > 0);
         assert!(outcome.cost.simulated_gpu_hours == 0.0);
-        assert!(
-            outcome.cost.batch.dispatches >= 1,
-            "pruning slates ride the packed path: {:?}",
-            outcome.cost.batch
-        );
-        assert!(outcome.cost.batch.packed_candidates >= outcome.cost.batch.computed_candidates);
         assert!(
             outcome.test_accuracy > 50.0,
             "discovered model should be well above chance"
@@ -285,24 +273,6 @@ mod tests {
             warm.cost.cache.misses, 0,
             "a pre-warmed store serves the whole search"
         );
-    }
-
-    #[test]
-    fn outcome_is_bitwise_identical_across_pack_widths() {
-        let reference = MicroNasSearch::te_nas_baseline()
-            .run(&tiny_context(HardwareConstraints::unconstrained()))
-            .unwrap();
-        for width in [1usize, 3, 8] {
-            let ctx = tiny_context(HardwareConstraints::unconstrained()).with_pack_width(width);
-            let outcome = MicroNasSearch::te_nas_baseline().run(&ctx).unwrap();
-            assert_eq!(
-                reference.best.index(),
-                outcome.best.index(),
-                "width {width}"
-            );
-            assert_eq!(reference.history, outcome.history, "width {width}");
-            assert_eq!(reference.evaluation, outcome.evaluation, "width {width}");
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::{
-    BatchedEvaluator, HybridObjective, MicroNasError, NullObserver, ObjectiveWeights, Result,
-    SearchContext, SearchCost, SearchEvent, SearchObserver, SearchOutcome, SearchStrategy,
+    HybridObjective, MicroNasError, NullObserver, ObjectiveWeights, Result, SearchContext,
+    SearchCost, SearchEvent, SearchObserver, SearchOutcome, SearchStrategy,
 };
 use micronas_searchspace::{random_architecture, Architecture, CellTopology};
 use micronas_tensor::hash_mix;
@@ -14,14 +14,12 @@ use std::time::Instant;
 /// architectures uniformly at random, score each with the hybrid objective
 /// and keep the best feasible one.
 ///
-/// Candidate evaluation goes through the mega-batched
-/// [`BatchedEvaluator`]: the sample budget is sliced into packs that run
-/// concurrently on the rayon pool, each pack fusing its candidates'
-/// same-geometry convolutions into shared GEMM dispatches. Every
-/// candidate's architecture is drawn from its own `ChaCha8Rng` seeded from
-/// `(base seed, candidate index)`, and results are reduced in candidate
-/// order, so the outcome — including the score history — is bitwise
-/// identical for every thread count and pack width.
+/// The whole sample budget is evaluated as one slate on the rayon pool
+/// ([`SearchContext::evaluate_all`]). Every candidate's architecture is
+/// drawn from its own `ChaCha8Rng` seeded from `(base seed, candidate
+/// index)`, and results are reduced in candidate order, so the outcome —
+/// including the score history — is bitwise identical for every thread
+/// count.
 #[derive(Debug, Clone)]
 pub struct RandomSearch {
     objective: HybridObjective,
@@ -76,7 +74,6 @@ impl SearchStrategy for RandomSearch {
         let start = Instant::now();
         let evaluations_before = ctx.evaluation_count();
         let cache_before = ctx.cache_stats();
-        let batch_before = ctx.batch_stats();
         let base_seed = ctx.seed().wrapping_add(RANDOM_STREAM);
 
         // Draw every candidate from its own deterministic stream so the
@@ -88,12 +85,11 @@ impl SearchStrategy for RandomSearch {
             })
             .collect();
 
-        // Evaluate the whole slate through the mega-batched path; handles
-        // come back in candidate order.
+        // Evaluate the whole slate; handles come back in candidate order.
         let cells: Vec<CellTopology> = candidates.iter().map(|arch| *arch.cell()).collect();
         let evals = {
             let _step_span = micronas_telemetry::span!("strategy.step");
-            BatchedEvaluator::new(ctx).evaluate_all(&cells)?
+            ctx.evaluate_all(&cells)?
         };
 
         // Sequential, order-preserving reduction: identical to the previous
@@ -130,7 +126,6 @@ impl SearchStrategy for RandomSearch {
             simulated_gpu_hours: 0.0,
             evaluations: ctx.evaluation_count() - evaluations_before,
             cache: ctx.cache_stats().since(&cache_before),
-            batch: ctx.batch_stats().since(&batch_before),
         };
         outcome.history = history;
         observer.on_event(&SearchEvent::Finished { outcome: &outcome });
@@ -170,28 +165,6 @@ mod tests {
         assert_eq!(outcome.history.len(), 6);
         assert!(outcome.cost.evaluations <= 6);
         assert!(outcome.cost.wall_clock_seconds > 0.0);
-        assert_eq!(
-            outcome.cost.batch.packed_candidates, 6,
-            "the whole budget rides the packed path"
-        );
-        assert!(outcome.cost.batch.dispatches >= 1);
-    }
-
-    #[test]
-    fn outcome_is_bitwise_identical_across_pack_widths() {
-        let search = RandomSearch::new(ObjectiveWeights::latency_guided(1.0), 7).unwrap();
-        let reference = search.run(&tiny_context()).unwrap();
-        for width in [1usize, 2, 16] {
-            let ctx = tiny_context().with_pack_width(width);
-            let outcome = search.run(&ctx).unwrap();
-            assert_eq!(
-                reference.best.index(),
-                outcome.best.index(),
-                "width {width}"
-            );
-            assert_eq!(reference.history, outcome.history, "width {width}");
-            assert_eq!(reference.evaluation, outcome.evaluation, "width {width}");
-        }
     }
 
     #[test]

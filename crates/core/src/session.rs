@@ -123,7 +123,6 @@ pub struct SearchSessionBuilder {
     observer: Option<Arc<dyn SearchObserver>>,
     backend: Option<micronas_tensor::KernelBackendKind>,
     compiler: Option<micronas_graph::CompilerKind>,
-    pack_width: Option<usize>,
     telemetry: Option<Arc<dyn micronas_telemetry::TelemetrySink>>,
     fabric: Option<micronas_fabric::FabricConfig>,
 }
@@ -211,17 +210,6 @@ impl SearchSessionBuilder {
         self
     }
 
-    /// Sets the maximum number of candidates the session's context packs
-    /// into one mega-batched proxy sweep (default:
-    /// [`crate::DEFAULT_PACK_WIDTH`]; clamped to at least 1, and 1 disables
-    /// cross-candidate packing). Search outcomes are bitwise identical for
-    /// every width — only GEMM dispatch density and wall-clock change.
-    #[must_use]
-    pub fn pack_width(mut self, width: usize) -> Self {
-        self.pack_width = Some(width);
-        self
-    }
-
     /// Joins a distributed evaluation fabric (overrides the
     /// configuration's `fabric` field): the session's store reads through
     /// the fleet on local misses and offers fresh evaluations back
@@ -302,10 +290,7 @@ impl SearchSessionBuilder {
             }
             None => (self.store, None),
         };
-        let mut context = SearchContext::with_proxies(dataset, &config, store, self.proxies)?;
-        if let Some(width) = self.pack_width {
-            context = context.with_pack_width(width);
-        }
+        let context = SearchContext::with_proxies(dataset, &config, store, self.proxies)?;
         Ok(SearchSession {
             context,
             weights: self.weights.unwrap_or_default(),
@@ -422,34 +407,6 @@ mod tests {
         // The built-in entries are still present and untouched alongside.
         assert!(eval.metrics.contains(metric_ids::LINEAR_REGIONS));
         assert!(eval.metrics.contains(metric_ids::NTK_CONDITION));
-    }
-
-    #[test]
-    fn pack_width_flows_into_the_context_and_preserves_outcomes() {
-        let narrow = tiny_builder().pack_width(1).build().unwrap();
-        assert_eq!(narrow.context().pack_width(), 1);
-        let wide = tiny_builder().pack_width(16).build().unwrap();
-        assert_eq!(wide.context().pack_width(), 16);
-        assert_eq!(
-            tiny_builder().build().unwrap().context().pack_width(),
-            crate::DEFAULT_PACK_WIDTH
-        );
-
-        let a = narrow.run_micronas().unwrap();
-        let b = wide.run_micronas().unwrap();
-        assert_eq!(a.best.index(), b.best.index());
-        assert_eq!(a.history, b.history);
-        assert_eq!(a.evaluation, b.evaluation);
-        assert!(
-            b.cost.batch.dispatches >= 1,
-            "wide session must actually pack: {:?}",
-            b.cost.batch
-        );
-        assert_eq!(
-            a.cost.batch.packed_candidates, 0,
-            "width 1 disables packing: {:?}",
-            a.cost.batch
-        );
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! Every strategy must keep the trait contract the redesign rests on:
 //!
 //! * **Thread determinism** — a bitwise-identical outcome (including the
-//!   score history) on a 1-thread and an N-thread rayon pool;
+//!   score history and the cache counters) on a 1-thread and an N-thread
+//!   rayon pool;
 //! * **Store transparency** — bitwise-identical outcomes with the
 //!   evaluation store disabled, cold and pre-warmed (and a warm store
 //!   serving the proxy-driven searches without a single recomputation);
@@ -40,15 +41,6 @@ fn session(store: Option<Arc<EvalStore>>) -> SearchSession {
     builder.build().unwrap()
 }
 
-fn packed_session(width: usize) -> SearchSession {
-    SearchSession::builder()
-        .dataset(DatasetKind::Cifar10)
-        .config(MicroNasConfig::tiny_test())
-        .pack_width(width)
-        .build()
-        .unwrap()
-}
-
 fn assert_outcomes_identical(label: &str, a: &SearchOutcome, b: &SearchOutcome) {
     assert_eq!(a.best.index(), b.best.index(), "{label}: best");
     assert_eq!(a.evaluation, b.evaluation, "{label}: evaluation");
@@ -71,74 +63,40 @@ fn every_strategy_is_deterministic_across_thread_counts() {
         let single = run_with(1);
         for threads in [3, 7] {
             let multi = run_with(threads);
-            assert_outcomes_identical(
-                &format!("{} @ {threads} threads", strategy.name()),
-                &single,
-                &multi,
-            );
+            let label = format!("{} @ {threads} threads", strategy.name());
+            assert_outcomes_identical(&label, &single, &multi);
+            assert_eq!(single.cost.cache, multi.cost.cache, "{label}: cache");
         }
     }
 }
 
-/// Cross-candidate mega-batching is a pure scheduling change: for every
-/// strategy, the outcome at pack widths 1 (packing disabled), 2 and 8 must
-/// be bitwise identical, on a 1-thread and an N-thread rayon pool alike.
+/// Store-namespace audit: the paper-default proxy identity stays pinned —
+/// a bump here would orphan every store warmed before the change that
+/// moved it.
 #[test]
-fn every_strategy_is_bitwise_identical_across_pack_widths_and_threads() {
-    for strategy in all_strategies() {
-        let reference = {
-            let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-            pool.install(|| packed_session(1).run(strategy.as_ref()).unwrap())
-        };
-        for width in [2usize, 8] {
-            for threads in [1usize, 4] {
-                let pool = ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let outcome =
-                    pool.install(|| packed_session(width).run(strategy.as_ref()).unwrap());
-                assert_outcomes_identical(
-                    &format!("{} @ width {width}, {threads} threads", strategy.name()),
-                    &reference,
-                    &outcome,
-                );
-            }
-        }
-    }
-}
-
-/// Store-namespace audit: mega-batching must not change any proxy output of
-/// the default backend, so the persisted-store namespace stays pinned — a
-/// bump here would orphan every store warmed before this change.
-#[test]
-fn mega_batching_does_not_bump_the_store_namespace() {
+fn store_namespace_stays_pinned() {
     assert_eq!(
         MicroNasConfig::paper_default().store_namespace(),
         0xa01c_0bcb_e15a_bdf4,
-        "packed evaluation changed paper-default proxy identity: {:#018x}",
+        "paper-default proxy identity changed: {:#018x}",
         MicroNasConfig::paper_default().store_namespace()
     );
 
-    // The reason the pin holds: packed evaluation is bitwise identical to
-    // the one-at-a-time path, so records written by either are interchangeable.
+    // Records written through the store-backed slate path are
+    // interchangeable with store-free one-at-a-time evaluation.
     let config = MicroNasConfig::tiny_test();
     let store = Arc::new(EvalStore::in_memory(config.store_namespace()));
-    let solo_ctx =
+    let stored_ctx =
         micronas::SearchContext::with_store(DatasetKind::Cifar10, &config, Arc::clone(&store))
             .unwrap();
-    let packed_ctx = micronas::SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
+    let plain_ctx = micronas::SearchContext::new(DatasetKind::Cifar10, &config).unwrap();
     let cells: Vec<_> = [0usize, 404, 7_000, 11_111, 15_624]
         .iter()
-        .map(|&i| solo_ctx.space().cell(i).unwrap())
+        .map(|&i| plain_ctx.space().cell(i).unwrap())
         .collect();
-    let solo: Vec<_> = cells
-        .iter()
-        .map(|&cell| solo_ctx.evaluate(cell).unwrap())
-        .collect();
-    let packed = packed_ctx.evaluate_pack(&cells).unwrap();
-    for (i, (s, p)) in solo.iter().zip(&packed).enumerate() {
-        assert_eq!(**s, **p, "store-backed solo vs packed member {i}");
+    let stored = stored_ctx.evaluate_all(&cells).unwrap();
+    for (i, (&cell, s)) in cells.iter().zip(&stored).enumerate() {
+        assert_eq!(**s, *plain_ctx.evaluate(cell).unwrap(), "member {i}");
     }
 }
 

@@ -48,9 +48,7 @@ pub use config::ProxyNetworkConfig;
 pub use error::NnError;
 pub use gradient::{ParameterGradients, PerSampleGradients};
 pub use layers::{ConvLayer, LinearLayer};
-pub use network::{
-    pack_kernel_stats, CellNetwork, CellNetworkPack, ForwardOutput, PackKernelStats,
-};
+pub use network::{pack_kernel_stats, CellNetwork, ForwardOutput, PackKernelStats};
 
 /// Convenient result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -9,9 +9,8 @@ use micronas_searchspace::{CellTopology, EdgeId, Operation, NUM_EDGES, NUM_NODES
 use micronas_tensor::{
     avg_pool2d, global_avg_pool, global_avg_pool_backward, hash_mix,
     ops::{relu, relu_backward},
-    paper_default_backend, KernelBackend, PackedGradSlot, Shape, Tensor, Workspace,
+    paper_default_backend, KernelBackend, Shape, Tensor, Workspace,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Result of a forward pass through a [`CellNetwork`].
@@ -834,673 +833,6 @@ impl CellNetwork {
     }
 }
 
-/// A forward trace plus the collected pre-ReLU conv inputs of one pack member.
-type TraceAndPreActivations = (ForwardTrace, Vec<Tensor>);
-
-/// A pack of [`CellNetwork`]s over *different* cells that share one
-/// `(config, seed, backend)` triple and execute their forward passes in
-/// lockstep, so every convolution edge whose geometry coincides across
-/// candidates runs as **one** packed GEMM dispatch
-/// ([`micronas_tensor::KernelBackend::conv2d_forward_packed`]).
-///
-/// This is the network-level substrate of cross-candidate mega-batching:
-/// the zero-cost proxies evaluate many candidate cells against the *same*
-/// probe batch at the *same* seed, which makes three sharing opportunities
-/// exact rather than approximate:
-///
-/// * **Weights coincide.** The seed streams are position-keyed
-///   (`hash_mix(seed, cell_idx · NUM_EDGES + edge + 1)`), so every pack
-///   member that places a convolution of the same kernel size on the same
-///   edge holds a bitwise-identical weight tensor — one weight matrix
-///   serves the whole bucket's packed GEMM.
-/// * **The stem is shared computation.** All members have identical stems
-///   and see the identical input, so the stem convolution — usually the
-///   widest GEMM in a sparse cell — runs once per pack instead of once per
-///   candidate; each trace receives a bitwise copy.
-/// * **Same-geometry edges merge.** Per (cell, edge), members are
-///   partitioned by operation and conv members bucketed by kernel size;
-///   each bucket's ReLU-activated inputs go through a single packed
-///   im2col + GEMM dispatch that is bitwise-identical to per-candidate
-///   dispatch
-///   (the packed kernel falls back to the solo path whenever merging could
-///   change the GEMM schedule).
-///
-/// Backward passes merge too: [`CellNetworkPack::per_sample_gradient_matrices_with`]
-/// runs one lockstep backward sweep over the whole pack, bucketing conv
-/// edges exactly as the forward does and dispatching each bucket through
-/// the packed backward seam
-/// ([`micronas_tensor::KernelBackend::conv2d_backward_weight_per_sample_packed`]
-/// and its input-gradient companion). The per-sample weight-gradient GEMMs
-/// keep per-candidate operands, so the packed kernels *iterate* the exact
-/// solo per-candidate schedule inside one call — what they amortise is the
-/// im2col lowering of bitwise-identical probe activations (every member's
-/// stem backward consumes the same input batch, lowered once per pack) and
-/// kernel dispatch overhead, not the GEMM shapes. Per-member accumulation
-/// order is untouched. Identical pack members collapse further: same
-/// topology plus same seed means bitwise-equal weights and traces, so the
-/// sweep runs once per *distinct* topology and copies duplicates' matrices
-/// from their representative — byte-for-byte what each duplicate's own
-/// sweep would have produced. Everything the pack returns is **bitwise
-/// identical** to evaluating each member through its own [`CellNetwork`]
-/// entry points.
-#[derive(Debug, Clone)]
-pub struct CellNetworkPack {
-    networks: Vec<CellNetwork>,
-    /// Routes the per-sample gradient sweep through the packed backward
-    /// kernels (`true`, default) or the per-member solo loop (`false`).
-    /// Both paths are bitwise-identical; the toggle exists so benches can
-    /// measure forward-only packing as a baseline.
-    packed_backward: bool,
-}
-
-impl CellNetworkPack {
-    /// Builds one network per cell on the paper-default backend, all from
-    /// the same `(config, seed)` — exactly the networks solo evaluation of
-    /// each cell would build.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if the configuration is invalid.
-    pub fn new(cells: &[CellTopology], config: &ProxyNetworkConfig, seed: u64) -> Result<Self> {
-        Self::with_backend(cells, config, seed, paper_default_backend())
-    }
-
-    /// [`CellNetworkPack::new`] on an explicit execution backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] if the configuration is invalid.
-    pub fn with_backend(
-        cells: &[CellTopology],
-        config: &ProxyNetworkConfig,
-        seed: u64,
-        backend: Arc<dyn KernelBackend>,
-    ) -> Result<Self> {
-        let networks = cells
-            .iter()
-            .map(|cell| CellNetwork::with_backend(cell, config, seed, Arc::clone(&backend)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            networks,
-            packed_backward: true,
-        })
-    }
-
-    /// Enables or disables the packed backward sweep (enabled by default).
-    ///
-    /// Disabling falls back to one solo backward per member on its
-    /// pack-produced trace — the forward-only packing behaviour — without
-    /// changing any returned value: both paths are bitwise-identical, so
-    /// this knob is purely a performance baseline for benchmarks.
-    #[must_use]
-    pub fn with_packed_backward(mut self, packed_backward: bool) -> Self {
-        self.packed_backward = packed_backward;
-        self
-    }
-
-    /// Routes every member's graph-capable entry points through `compiler`
-    /// (see [`CellNetwork::with_compiler`]). Under a compiler the pack
-    /// evaluates its members through their solo compiled plans — the packed
-    /// eager fast path is definitionally bitwise-equal to solo evaluation,
-    /// so the pack contract is unchanged.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
-        self.networks = self
-            .networks
-            .into_iter()
-            .map(|n| n.with_compiler(Arc::clone(&compiler)))
-            .collect();
-        self
-    }
-
-    /// The pack members, in construction order.
-    pub fn networks(&self) -> &[CellNetwork] {
-        &self.networks
-    }
-
-    /// Number of pack members.
-    pub fn len(&self) -> usize {
-        self.networks.len()
-    }
-
-    /// Whether the pack is empty.
-    pub fn is_empty(&self) -> bool {
-        self.networks.is_empty()
-    }
-
-    /// The lockstep pack forward. Mirrors [`CellNetwork::forward_trace`]
-    /// per member — same per-member accumulation order, same kernels —
-    /// except that the stem runs once and same-geometry conv edges dispatch
-    /// packed. Returns one `(trace, pre_activations)` pair per member, in
-    /// pack order.
-    fn forward_pack_traces(
-        &self,
-        input: &Tensor,
-        workspace: &mut Workspace,
-        collect_pre_activations: bool,
-    ) -> Result<Vec<TraceAndPreActivations>> {
-        let Some(first) = self.networks.first() else {
-            return Ok(Vec::new());
-        };
-        let _pack_span = micronas_telemetry::span!("nn.pack_forward");
-        first.check_input(input)?;
-        let backend = &*first.backend;
-        let pack = self.networks.len();
-        let num_cells = first.cells.len();
-
-        // One stem forward for the whole pack: stems are identical (same
-        // seed, same stream) and see the identical input.
-        let stem_out = {
-            let _span = micronas_telemetry::span!("nn.stem_forward");
-            first.stem.forward_on(backend, input, workspace)?
-        };
-        let mut pre_activations: Vec<Vec<Tensor>> = vec![Vec::new(); pack];
-        let mut nodes_per_cell: Vec<Vec<Vec<Tensor>>> =
-            (0..pack).map(|_| Vec::with_capacity(num_cells)).collect();
-        let mut xs: Vec<Tensor> = (0..pack)
-            .map(|_| pooled_copy(&stem_out, workspace))
-            .collect();
-
-        for cell_idx in 0..num_cells {
-            let mut nodes: Vec<Vec<Tensor>> = std::mem::take(&mut xs)
-                .into_iter()
-                .map(|x| {
-                    let mut v = Vec::with_capacity(NUM_NODES);
-                    v.push(x);
-                    v
-                })
-                .collect();
-            for dst in 1..NUM_NODES {
-                let mut accs: Vec<Tensor> = nodes
-                    .iter()
-                    .map(|n| pooled_zeros(n[0].shape().clone(), workspace))
-                    .collect();
-                for edge in EdgeId::all() {
-                    let (src, d) = edge.endpoints();
-                    if d != dst {
-                        continue;
-                    }
-                    // Partition members by this edge's operation. Non-conv
-                    // contributions accumulate immediately (each member has
-                    // exactly one op per edge, so per-member order across
-                    // edges stays canonical); conv members bucket by kernel
-                    // size for one packed dispatch per bucket.
-                    let mut conv_buckets: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-                    for (p, net) in self.networks.iter().enumerate() {
-                        match net.cell.edge_ops()[edge.0] {
-                            Operation::None => {}
-                            Operation::SkipConnect => {
-                                accs[p].axpy(1.0, &nodes[p][src]).map_err(NnError::from)?;
-                            }
-                            Operation::AvgPool3x3 => {
-                                let c = backend.avg_pool2d(&nodes[p][src], 3, 1, 1, workspace)?;
-                                accs[p].axpy(1.0, &c).map_err(NnError::from)?;
-                                workspace.recycle(c.into_vec());
-                            }
-                            Operation::NorConv1x1 => conv_buckets[0].push(p),
-                            Operation::NorConv3x3 => conv_buckets[1].push(p),
-                        }
-                    }
-                    for bucket in &conv_buckets {
-                        let Some(&lead) = bucket.first() else {
-                            continue;
-                        };
-                        let conv = self.networks[lead].cells[cell_idx].edge_convs[edge.0]
-                            .as_ref()
-                            .expect("conv edge always has a layer");
-                        // Position-keyed seeding makes every bucket
-                        // member's weight tensor identical to the lead's.
-                        debug_assert!(bucket.iter().all(|&p| {
-                            self.networks[p].cells[cell_idx].edge_convs[edge.0]
-                                .as_ref()
-                                .is_some_and(|c| c.weight() == conv.weight())
-                        }));
-                        if collect_pre_activations {
-                            for &p in bucket {
-                                pre_activations[p].push(nodes[p][src].clone());
-                            }
-                        }
-                        let activated: Vec<Tensor> = bucket
-                            .iter()
-                            .map(|&p| pooled_relu(&nodes[p][src], workspace))
-                            .collect();
-                        let inputs: Vec<&Tensor> = activated.iter().collect();
-                        let outs = backend.conv2d_forward_packed(
-                            &inputs,
-                            conv.weight(),
-                            conv.spec(),
-                            workspace,
-                        )?;
-                        drop(inputs);
-                        note_pack_forward_dispatch(bucket.len());
-                        for t in activated {
-                            workspace.recycle(t.into_vec());
-                        }
-                        for (&p, c) in bucket.iter().zip(outs) {
-                            accs[p].axpy(1.0, &c).map_err(NnError::from)?;
-                            workspace.recycle(c.into_vec());
-                        }
-                    }
-                }
-                for (n, acc) in nodes.iter_mut().zip(accs) {
-                    n.push(acc);
-                }
-            }
-            xs = nodes
-                .iter()
-                .map(|n| pooled_copy(&n[NUM_NODES - 1], workspace))
-                .collect();
-            for (per_cell, n) in nodes_per_cell.iter_mut().zip(nodes) {
-                per_cell.push(n);
-            }
-        }
-
-        // Classifier per member: features differ even though weights
-        // coincide, and the GEMM is tiny — packing buys nothing here.
-        let mut out = Vec::with_capacity(pack);
-        for ((net, x), (nodes, pre)) in self
-            .networks
-            .iter()
-            .zip(xs)
-            .zip(nodes_per_cell.into_iter().zip(pre_activations))
-        {
-            let features = global_avg_pool(&x)?;
-            workspace.recycle(x.into_vec());
-            let logits = net.classifier.forward_on(backend, &features)?;
-            let trace = ForwardTrace {
-                input: pooled_copy(input, workspace),
-                stem_out: pooled_copy(&stem_out, workspace),
-                nodes,
-                features,
-                logits,
-            };
-            out.push((trace, pre));
-        }
-        workspace.recycle(stem_out.into_vec());
-        Ok(out)
-    }
-
-    /// Runs the packed forward pass on every member; element `i` of the
-    /// result is bitwise identical to
-    /// [`CellNetwork::forward_with`] on member `i` alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputMismatch`] if the input geometry does not
-    /// match the configuration.
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<ForwardOutput>> {
-        if self.networks.first().is_some_and(|n| n.compiler.is_some()) {
-            return self
-                .networks
-                .iter()
-                .map(|net| net.forward_with(input, workspace))
-                .collect();
-        }
-        let traces = self.forward_pack_traces(input, workspace, true)?;
-        let mut out = Vec::with_capacity(traces.len());
-        for (trace, pre_activations) in traces {
-            let logits = trace.logits.clone();
-            recycle_trace(trace, workspace);
-            out.push(ForwardOutput {
-                logits,
-                pre_activations,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Per-sample gradient matrices for every member from **one packed
-    /// sweep**: packed forward, then one lockstep packed backward over the
-    /// whole pack — conv edges bucket by kernel size exactly as in the
-    /// forward, each bucket dispatching its per-sample weight gradients and
-    /// input gradients through the packed backward seam. Per-member
-    /// accumulation order is untouched, so element `i` is bitwise identical
-    /// to [`CellNetwork::per_sample_gradient_matrix_with`] on member `i`
-    /// alone.
-    ///
-    /// Falls back to one solo backward per member when a compiler is
-    /// installed (compiled plans are solo by definition) or when the packed
-    /// backward has been disabled via
-    /// [`CellNetworkPack::with_packed_backward`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputMismatch`] for geometry mismatches.
-    pub fn per_sample_gradient_matrices_with(
-        &self,
-        batch: &Tensor,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<PerSampleGradients>> {
-        if self.networks.first().is_some_and(|n| n.compiler.is_some()) {
-            return self
-                .networks
-                .iter()
-                .map(|net| net.per_sample_gradient_matrix_with(batch, workspace))
-                .collect();
-        }
-        let traces = self.forward_pack_traces(batch, workspace, false)?;
-        let n = batch.shape().dims()[0];
-        if !self.packed_backward {
-            // Forward-only packing (the PR 6 behaviour): solo backward per
-            // member. Kept as the measured baseline for the packed sweep.
-            let mut out = Vec::with_capacity(traces.len());
-            for (net, (trace, _)) in self.networks.iter().zip(traces) {
-                let p = net.num_parameters();
-                let mut matrix = workspace.take_zeroed(n * p);
-                net.backward_per_sample_into(&trace, workspace, &mut matrix)?;
-                recycle_trace(trace, workspace);
-                out.push(PerSampleGradients::new(n, p, matrix));
-            }
-            return Ok(out);
-        }
-        let traces: Vec<ForwardTrace> = traces.into_iter().map(|(trace, _)| trace).collect();
-        let mut matrices: Vec<Vec<f32>> = self
-            .networks
-            .iter()
-            .map(|net| workspace.take_zeroed(n * net.num_parameters()))
-            .collect();
-        // Identical pack members — same topology, and the pack's
-        // position-keyed seeding gives same-topology members bitwise-equal
-        // weights — produce bitwise-identical traces on the shared batch and
-        // therefore bitwise-identical gradient matrices. Sweep each distinct
-        // member once; a duplicate's matrix is a copy, byte-for-byte what
-        // its own sweep would have produced.
-        let mut reps: Vec<usize> = Vec::new();
-        let mut rep_of: Vec<usize> = Vec::with_capacity(self.networks.len());
-        for (idx, net) in self.networks.iter().enumerate() {
-            match reps
-                .iter()
-                .copied()
-                .find(|&r| self.networks[r].cell == net.cell)
-            {
-                Some(r) => rep_of.push(r),
-                None => {
-                    reps.push(idx);
-                    rep_of.push(idx);
-                }
-            }
-        }
-        self.backward_pack_per_sample_into(batch, &traces, &reps, workspace, &mut matrices)?;
-        for (idx, &rep) in rep_of.iter().enumerate() {
-            if rep != idx {
-                let (head, tail) = matrices.split_at_mut(idx);
-                tail[0].copy_from_slice(&head[rep]);
-            }
-        }
-        for trace in traces {
-            recycle_trace(trace, workspace);
-        }
-        Ok(self
-            .networks
-            .iter()
-            .zip(matrices)
-            .map(|(net, matrix)| PerSampleGradients::new(n, net.num_parameters(), matrix))
-            .collect())
-    }
-
-    /// [`CellNetworkPack::per_sample_gradient_matrices_with`] on a fresh
-    /// default workspace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InputMismatch`] for geometry mismatches.
-    pub fn per_sample_gradient_matrices(&self, batch: &Tensor) -> Result<Vec<PerSampleGradients>> {
-        self.per_sample_gradient_matrices_with(batch, &mut Workspace::default())
-    }
-
-    /// The lockstep packed backward over the strictly ascending `members`
-    /// subset (callers pass one representative per distinct topology).
-    /// Mirrors [`CellNetwork::backward_per_sample_into`] per member — same
-    /// per-member gradient flow, same accumulation order, same kernels —
-    /// except that same-geometry conv edges dispatch their weight and input
-    /// gradients packed, and the stem's per-sample backward (whose input,
-    /// the probe batch, is identical across members) runs as one full-width
-    /// packed dispatch that lowers the batch exactly once.
-    fn backward_pack_per_sample_into(
-        &self,
-        batch: &Tensor,
-        traces: &[ForwardTrace],
-        members: &[usize],
-        workspace: &mut Workspace,
-        matrices: &mut [Vec<f32>],
-    ) -> Result<()> {
-        let Some(&lead_member) = members.first() else {
-            return Ok(());
-        };
-        let _span = micronas_telemetry::span!("nn.pack_backward");
-        let first = &self.networks[lead_member];
-        let backend = &*first.backend;
-        let n = batch.shape().dims()[0];
-        let num_classes = first.config.num_classes;
-        let channels = first.config.channels;
-        // Members generally differ in parameter count and layer offsets.
-        let offsets: Vec<(Vec<[usize; NUM_EDGES]>, usize)> = self
-            .networks
-            .iter()
-            .map(|net| net.edge_parameter_offsets())
-            .collect();
-        let params: Vec<usize> = self
-            .networks
-            .iter()
-            .map(|net| net.num_parameters())
-            .collect();
-
-        // Classifier rows, feature gradients and the pooling spread have
-        // per-member operands everywhere; they run per member, exactly as
-        // in the solo backward. The all-ones logits gradient is the only
-        // shared operand, hoisted out of the loop.
-        let ones = vec![1.0f32; n * num_classes];
-        let mut grad_xs: Vec<Tensor> = Vec::with_capacity(members.len());
-        for &idx in members {
-            let net = &self.networks[idx];
-            let trace = &traces[idx];
-            let p = params[idx];
-            let classifier_offset = offsets[idx].1;
-            let matrix = &mut matrices[idx];
-            debug_assert_eq!(matrix.len(), n * p);
-            let features = trace.features.data();
-            for b in 0..n {
-                let row = &mut matrix[b * p + classifier_offset..(b * p) + p];
-                for o in 0..num_classes {
-                    for i in 0..channels {
-                        row[o * channels + i] = features[b * channels + i];
-                    }
-                }
-            }
-            let mut grad_features = Tensor::zeros(Shape::d2(n, channels));
-            backend.gemm_nn(
-                n,
-                num_classes,
-                channels,
-                &ones,
-                net.classifier.weight().data(),
-                grad_features.data_mut(),
-                false,
-            );
-            let last_x = trace
-                .nodes
-                .last()
-                .map(|nodes| &nodes[NUM_NODES - 1])
-                .unwrap_or(&trace.stem_out);
-            let hw: usize = last_x.shape().dims()[2] * last_x.shape().dims()[3];
-            let mut buf = workspace.take(last_x.numel());
-            for (&g, plane) in grad_features.data().iter().zip(buf.chunks_exact_mut(hw)) {
-                plane.fill(g / hw as f32);
-            }
-            grad_xs
-                .push(Tensor::from_vec(last_x.shape().clone(), buf).expect("length matches shape"));
-        }
-
-        // Cells in reverse order, all members in lockstep. Everything below
-        // indexes by *dense position* within `members`; `members[pos]` maps
-        // back to the pack index for traces, offsets and matrix slots.
-        let num_cells = first.cells.len();
-        for cell_idx in (0..num_cells).rev() {
-            let mut node_grads: Vec<Vec<Tensor>> = std::mem::take(&mut grad_xs)
-                .into_iter()
-                .zip(members)
-                .map(|(gx, &idx)| {
-                    let nodes = &traces[idx].nodes[cell_idx];
-                    let mut ng: Vec<Tensor> = nodes[..NUM_NODES - 1]
-                        .iter()
-                        .map(|nd| pooled_zeros(nd.shape().clone(), workspace))
-                        .collect();
-                    ng.push(gx);
-                    ng
-                })
-                .collect();
-            // Same structural-zero tracking as the solo backward, one flag
-            // set per member.
-            let mut touched = vec![[false; NUM_NODES]; members.len()];
-            for t in &mut touched {
-                t[NUM_NODES - 1] = true;
-            }
-
-            for edge in EdgeId::all().iter().rev() {
-                let (src, dst) = edge.endpoints();
-                // Partition members by this edge's operation, skipping
-                // members whose upstream node is structurally zero. Non-conv
-                // gradients accumulate immediately (each member has exactly
-                // one op per edge, so per-member order across edges stays
-                // canonical); conv members bucket by kernel size for one
-                // packed dispatch per bucket.
-                let mut conv_buckets: [Vec<usize>; 2] = [Vec::new(), Vec::new()];
-                for (pos, &idx) in members.iter().enumerate() {
-                    if !touched[pos][dst] {
-                        continue;
-                    }
-                    match self.networks[idx].cell.edge_ops()[edge.0] {
-                        Operation::None => {}
-                        Operation::SkipConnect => {
-                            let (lower, upper) = node_grads[pos].split_at_mut(dst);
-                            lower[src].axpy(1.0, &upper[0]).map_err(NnError::from)?;
-                            touched[pos][src] = true;
-                        }
-                        Operation::AvgPool3x3 => {
-                            let g = backend.avg_pool2d_backward(
-                                &node_grads[pos][dst],
-                                traces[idx].nodes[cell_idx][src].shape(),
-                                3,
-                                1,
-                                1,
-                                workspace,
-                            )?;
-                            node_grads[pos][src].axpy(1.0, &g).map_err(NnError::from)?;
-                            workspace.recycle(g.into_vec());
-                            touched[pos][src] = true;
-                        }
-                        Operation::NorConv1x1 => conv_buckets[0].push(pos),
-                        Operation::NorConv3x3 => conv_buckets[1].push(pos),
-                    }
-                }
-                for bucket in &conv_buckets {
-                    let Some(&lead_pos) = bucket.first() else {
-                        continue;
-                    };
-                    let conv = self.networks[members[lead_pos]].cells[cell_idx].edge_convs[edge.0]
-                        .as_ref()
-                        .expect("conv edge always has a layer");
-                    debug_assert!(bucket.iter().all(|&pos| {
-                        self.networks[members[pos]].cells[cell_idx].edge_convs[edge.0]
-                            .as_ref()
-                            .is_some_and(|c| c.weight() == conv.weight())
-                    }));
-                    let activated: Vec<Tensor> = bucket
-                        .iter()
-                        .map(|&pos| {
-                            pooled_relu(&traces[members[pos]].nodes[cell_idx][src], workspace)
-                        })
-                        .collect();
-                    {
-                        let inputs: Vec<&Tensor> = activated.iter().collect();
-                        let grads: Vec<&Tensor> =
-                            bucket.iter().map(|&pos| &node_grads[pos][dst]).collect();
-                        let originals: Vec<usize> =
-                            bucket.iter().map(|&pos| members[pos]).collect();
-                        let mut slots = disjoint_slots(matrices, &originals, |idx| {
-                            (params[idx], offsets[idx].0[cell_idx][edge.0])
-                        });
-                        backend.conv2d_backward_weight_per_sample_packed(
-                            &inputs,
-                            &grads,
-                            conv.out_channels(),
-                            conv.spec(),
-                            workspace,
-                            &mut slots,
-                        )?;
-                    }
-                    note_pack_backward_dispatch(bucket.len());
-                    let g_srcs = {
-                        let grads: Vec<&Tensor> =
-                            bucket.iter().map(|&pos| &node_grads[pos][dst]).collect();
-                        backend.conv2d_backward_input_packed(
-                            conv.weight(),
-                            &grads,
-                            activated[0].shape(),
-                            conv.spec(),
-                            workspace,
-                        )?
-                    };
-                    note_pack_backward_dispatch(bucket.len());
-                    for t in activated {
-                        workspace.recycle(t.into_vec());
-                    }
-                    for (&pos, mut g_src) in bucket.iter().zip(g_srcs) {
-                        // ReLU backward, in place on the input gradient.
-                        let nodes = &traces[members[pos]].nodes[cell_idx];
-                        for (g, &x) in g_src.data_mut().iter_mut().zip(nodes[src].data()) {
-                            if x <= 0.0 {
-                                *g = 0.0;
-                            }
-                        }
-                        let (lower, _) = node_grads[pos].split_at_mut(dst);
-                        lower[src].axpy(1.0, &g_src).map_err(NnError::from)?;
-                        workspace.recycle(g_src.into_vec());
-                        touched[pos][src] = true;
-                    }
-                }
-            }
-            grad_xs = node_grads
-                .into_iter()
-                .map(|ng| {
-                    let mut drain = ng.into_iter();
-                    let g0 = drain.next().expect("node 0 gradient");
-                    for t in drain {
-                        workspace.recycle(t.into_vec());
-                    }
-                    g0
-                })
-                .collect();
-        }
-
-        // Stem, per sample, packed across the swept members: every member's
-        // stem backward consumes the identical probe batch, so the packed
-        // kernel lowers it exactly once for the whole dispatch.
-        {
-            let inputs: Vec<&Tensor> = members.iter().map(|_| batch).collect();
-            let grads: Vec<&Tensor> = grad_xs.iter().collect();
-            let mut slots = disjoint_slots(matrices, members, |idx| (params[idx], 0));
-            backend.conv2d_backward_weight_per_sample_packed(
-                &inputs,
-                &grads,
-                first.stem.out_channels(),
-                first.stem.spec(),
-                workspace,
-                &mut slots,
-            )?;
-        }
-        note_pack_backward_dispatch(members.len());
-        for g in grad_xs {
-            workspace.recycle(g.into_vec());
-        }
-        Ok(())
-    }
-}
-
 /// Extracts sample `i` of an NCHW batch as a batch of one.
 fn extract_sample(batch: &Tensor, i: usize) -> Result<Tensor> {
     let d = batch.shape().dims();
@@ -1545,64 +877,17 @@ fn recycle_trace(trace: ForwardTrace, workspace: &mut Workspace) {
     }
 }
 
-/// Disjoint `&mut` slices over `matrices` for the strictly ascending member
-/// indices of one bucket, paired with each member's `(row_stride, offset)`
-/// from `stride_offset` — the destination set of one packed backward-weight
-/// dispatch.
-fn disjoint_slots<'a>(
-    matrices: &'a mut [Vec<f32>],
-    indices: &[usize],
-    stride_offset: impl Fn(usize) -> (usize, usize),
-) -> Vec<PackedGradSlot<'a>> {
-    let mut slots = Vec::with_capacity(indices.len());
-    let mut rest: &'a mut [Vec<f32>] = matrices;
-    let mut base = 0usize;
-    for &idx in indices {
-        debug_assert!(idx >= base, "bucket indices must ascend");
-        let taken = rest;
-        let (skip, tail) = taken.split_at_mut(idx - base + 1);
-        let matrix = skip.last_mut().expect("bucket index in range");
-        let (row_stride, offset) = stride_offset(idx);
-        slots.push(PackedGradSlot {
-            out: matrix.as_mut_slice(),
-            row_stride,
-            offset,
-        });
-        rest = tail;
-        base = idx + 1;
-    }
-    slots
-}
-
 // ---------------------------------------------------------------------------
 // Pack fill accounting
 // ---------------------------------------------------------------------------
 
-static PACK_FORWARD_DISPATCHES: AtomicU64 = AtomicU64::new(0);
-static PACK_FORWARD_MEMBERS: AtomicU64 = AtomicU64::new(0);
-static PACK_BACKWARD_DISPATCHES: AtomicU64 = AtomicU64::new(0);
-static PACK_BACKWARD_MEMBERS: AtomicU64 = AtomicU64::new(0);
-
-fn note_pack_forward_dispatch(members: usize) {
-    PACK_FORWARD_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    PACK_FORWARD_MEMBERS.fetch_add(members as u64, Ordering::Relaxed);
-}
-
-fn note_pack_backward_dispatch(members: usize) {
-    PACK_BACKWARD_DISPATCHES.fetch_add(1, Ordering::Relaxed);
-    PACK_BACKWARD_MEMBERS.fetch_add(members as u64, Ordering::Relaxed);
-}
-
-/// Monotonic process-global counts of packed kernel dispatches and the pack
-/// members they served, split by sweep direction.
+/// Counts of cross-candidate packed kernel dispatches and the pack members
+/// they served, split by sweep direction.
 ///
-/// A *forward* dispatch is one [`KernelBackend::conv2d_forward_packed`]
-/// bucket; a *backward* dispatch is one packed weight-gradient or packed
-/// input-gradient bucket (the stem's full-width packed backward included).
-/// `members / dispatches` is therefore the measured average pack fill of
-/// each sweep — the number the search-layer fill gauges and batch-stat
-/// counters report. Snapshot with [`pack_kernel_stats`] and diff with
-/// [`PackKernelStats::since`].
+/// Every network evaluates solo, so no packed dispatch exists and every
+/// snapshot reads zero. The type stays so that readers of the counters keep
+/// compiling; [`PackKernelStats::since`] and the fill ratios remain
+/// well-defined on all-zero snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PackKernelStats {
     /// Packed forward conv dispatches.
@@ -1648,15 +933,11 @@ impl PackKernelStats {
     }
 }
 
-/// Snapshot of the process-global [`PackKernelStats`] counters.
+/// Snapshot of the [`PackKernelStats`] counters: all zero, since no packed
+/// dispatch exists.
 #[must_use]
 pub fn pack_kernel_stats() -> PackKernelStats {
-    PackKernelStats {
-        forward_dispatches: PACK_FORWARD_DISPATCHES.load(Ordering::Relaxed),
-        forward_members: PACK_FORWARD_MEMBERS.load(Ordering::Relaxed),
-        backward_dispatches: PACK_BACKWARD_DISPATCHES.load(Ordering::Relaxed),
-        backward_members: PACK_BACKWARD_MEMBERS.load(Ordering::Relaxed),
-    }
+    PackKernelStats::default()
 }
 
 /// Seed stream reserved for the stem convolution.
@@ -2021,190 +1302,5 @@ mod tests {
 
     fn rebuild_linear(_old: &LinearLayer, weight: Tensor) -> LinearLayer {
         LinearLayer::from_weight(weight)
-    }
-
-    /// A spread of cells that exercises every pack regime: conv-heavy (big
-    /// merge buckets), mixed pool/skip (partitioned edges), sparse, and the
-    /// all-`None` degenerate cell.
-    fn pack_test_cells() -> Vec<CellTopology> {
-        let space = SearchSpace::nas_bench_201();
-        vec![
-            conv_chain_cell(),
-            space.cell(7_000).unwrap(),
-            space.cell(11_111).unwrap(),
-            space.cell(404).unwrap(),
-            space.cell(0).unwrap(),
-        ]
-    }
-
-    /// The tentpole identity at the network layer: the packed forward must
-    /// be bitwise identical to each member's solo forward, at every pack
-    /// width and under both pinned convolution engines (covering the
-    /// merged-GEMM path and the direct oracle).
-    #[test]
-    fn packed_forward_is_bitwise_identical_to_solo_members() {
-        use micronas_tensor::{set_conv_engine, ConvEngine};
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(10);
-        let batch = random_batch(&config, 2, 31);
-        for engine in [ConvEngine::Auto, ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
-            for width in [1usize, 2, cells.len()] {
-                let members = &cells[..width];
-                let pack = CellNetworkPack::new(members, &config, 9).unwrap();
-                let mut pack_ws = Workspace::default();
-                let packed = pack.forward_with(&batch, &mut pack_ws).unwrap();
-                assert_eq!(packed.len(), width);
-                for (i, cell) in members.iter().enumerate() {
-                    let solo_net = CellNetwork::new(cell, &config, 9).unwrap();
-                    let mut solo_ws = Workspace::default();
-                    let solo = solo_net.forward_with(&batch, &mut solo_ws).unwrap();
-                    assert_eq!(
-                        packed[i].logits.data(),
-                        solo.logits.data(),
-                        "engine {engine:?} width {width} member {i}: logits diverge"
-                    );
-                    assert_eq!(
-                        packed[i].pre_activations.len(),
-                        solo.pre_activations.len(),
-                        "engine {engine:?} width {width} member {i}"
-                    );
-                    for (a, b) in packed[i].pre_activations.iter().zip(&solo.pre_activations) {
-                        assert_eq!(a.data(), b.data());
-                    }
-                }
-            }
-        }
-        set_conv_engine(ConvEngine::Auto);
-    }
-
-    /// Per-sample gradient matrices from the pack (packed forward, solo
-    /// backward on pack traces) must be bitwise identical to each member's
-    /// solo batched formulation.
-    #[test]
-    fn packed_gradient_matrices_are_bitwise_identical_to_solo_members() {
-        use micronas_tensor::{set_conv_engine, ConvEngine};
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(4);
-        for engine in [ConvEngine::Auto, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
-            for n in [1usize, 3] {
-                let batch = random_batch(&config, n, 47 + n as u64);
-                let pack = CellNetworkPack::new(&cells, &config, 5).unwrap();
-                let mut pack_ws = Workspace::default();
-                let matrices = pack
-                    .per_sample_gradient_matrices_with(&batch, &mut pack_ws)
-                    .unwrap();
-                assert_eq!(matrices.len(), cells.len());
-                for (i, cell) in cells.iter().enumerate() {
-                    let solo_net = CellNetwork::new(cell, &config, 5).unwrap();
-                    let mut solo_ws = Workspace::default();
-                    let solo = solo_net
-                        .per_sample_gradient_matrix_with(&batch, &mut solo_ws)
-                        .unwrap();
-                    assert_eq!(matrices[i].num_samples(), n);
-                    assert_eq!(matrices[i].num_parameters(), solo_net.num_parameters());
-                    for b in 0..n {
-                        assert_eq!(
-                            matrices[i].row(b),
-                            solo.row(b),
-                            "engine {engine:?} n={n} member {i} sample {b}: gradients diverge"
-                        );
-                    }
-                }
-            }
-        }
-        set_conv_engine(ConvEngine::Auto);
-    }
-
-    /// The packed backward toggle changes dispatch shape only: matrices
-    /// from the packed sweep and the per-member solo loop are bitwise
-    /// identical, which is what lets benches use the toggle as a baseline.
-    #[test]
-    fn packed_backward_toggle_is_bitwise_invisible() {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(4);
-        let batch = random_batch(&config, 3, 99);
-        let packed = CellNetworkPack::new(&cells, &config, 5)
-            .unwrap()
-            .per_sample_gradient_matrices_with(&batch, &mut Workspace::default())
-            .unwrap();
-        let solo_loop = CellNetworkPack::new(&cells, &config, 5)
-            .unwrap()
-            .with_packed_backward(false)
-            .per_sample_gradient_matrices_with(&batch, &mut Workspace::default())
-            .unwrap();
-        assert_eq!(packed.len(), solo_loop.len());
-        for (i, (a, b)) in packed.iter().zip(&solo_loop).enumerate() {
-            assert_eq!(a.num_parameters(), b.num_parameters());
-            for s in 0..a.num_samples() {
-                assert_eq!(
-                    a.row(s),
-                    b.row(s),
-                    "member {i} sample {s}: toggle changed values"
-                );
-            }
-        }
-    }
-
-    /// One packed gradient sweep bumps the global fill counters, and the
-    /// backward sweep (which packs the full-width stem backward on top of
-    /// the same conv buckets the forward merges) always measures fill at
-    /// least as high as the forward sweep.
-    #[test]
-    fn pack_fill_counters_track_backward_dispatches() {
-        let _engine_guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cells = pack_test_cells();
-        let config = ProxyNetworkConfig::tiny(4);
-        let batch = random_batch(&config, 2, 7);
-        let pack = CellNetworkPack::new(&cells, &config, 5).unwrap();
-        let before = pack_kernel_stats();
-        pack.per_sample_gradient_matrices_with(&batch, &mut Workspace::default())
-            .unwrap();
-        let delta = pack_kernel_stats().since(&before);
-        assert!(
-            delta.forward_dispatches >= 1,
-            "no packed forward dispatches recorded"
-        );
-        assert!(
-            delta.backward_dispatches >= 1,
-            "no packed backward dispatches recorded"
-        );
-        assert!(delta.forward_members >= delta.forward_dispatches);
-        assert!(delta.backward_members >= delta.backward_dispatches);
-        assert!(
-            delta.backward_fill() >= delta.forward_fill(),
-            "backward fill {} below forward fill {}",
-            delta.backward_fill(),
-            delta.forward_fill()
-        );
-    }
-
-    #[test]
-    fn empty_pack_is_empty_everywhere() {
-        let config = ProxyNetworkConfig::tiny(10);
-        let pack = CellNetworkPack::new(&[], &config, 1).unwrap();
-        assert!(pack.is_empty());
-        assert_eq!(pack.len(), 0);
-        let batch = random_batch(&config, 2, 1);
-        let mut ws = Workspace::default();
-        assert!(pack.forward_with(&batch, &mut ws).unwrap().is_empty());
-        assert!(pack
-            .per_sample_gradient_matrices_with(&batch, &mut ws)
-            .unwrap()
-            .is_empty());
-    }
-
-    /// The pack validates input geometry exactly like its members do.
-    #[test]
-    fn pack_input_geometry_is_validated() {
-        let config = ProxyNetworkConfig::tiny(10);
-        let pack = CellNetworkPack::new(&[conv_chain_cell()], &config, 1).unwrap();
-        let bad = Tensor::zeros(Shape::nchw(1, 3, 16, 16));
-        let mut ws = Workspace::default();
-        assert!(pack.forward_with(&bad, &mut ws).is_err());
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
-use micronas_nn::{CellNetwork, CellNetworkPack, ProxyNetworkConfig};
+use micronas_nn::{CellNetwork, ProxyNetworkConfig};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{paper_default_backend, KernelBackend, Shape, Tensor};
 use serde::{Deserialize, Serialize};
@@ -202,56 +202,6 @@ impl LinearRegionEvaluator {
         Ok(acc.finish(self.config.num_segments))
     }
 
-    /// Cross-candidate mega-batched evaluation: every cell probes the
-    /// **same** segments (endpoints and interpolation do not depend on the
-    /// cell), so each segment's forward pass runs through one
-    /// [`CellNetworkPack`] whose same-geometry conv layers merge into packed
-    /// GEMM dispatches. Element `i` of the result is bitwise identical to
-    /// solo evaluation of `cells[i]` via
-    /// [`LinearRegionEvaluator::evaluate_in`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProxyError`] if the configuration is invalid or any
-    /// underlying step fails.
-    pub fn evaluate_pack_in(
-        &self,
-        cells: &[CellTopology],
-        dataset: DatasetKind,
-        seed: u64,
-        workspace: &mut micronas_tensor::Workspace,
-    ) -> Result<Vec<LinearRegionReport>> {
-        self.config.validate()?;
-        if cells.is_empty() {
-            return Ok(Vec::new());
-        }
-        let _span = micronas_telemetry::span!("proxy.linear_regions.pack");
-        let mut net_config = self.config.network;
-        net_config.num_classes = dataset.num_classes().min(16);
-        let mut pack =
-            CellNetworkPack::with_backend(cells, &net_config, seed, self.backend.clone())?;
-        if let Some(compiler) = &self.compiler {
-            pack = pack.with_compiler(Arc::clone(compiler));
-        }
-        let data = SyntheticDataset::new(dataset, seed);
-
-        let mut accs: Vec<RegionAccumulator> =
-            cells.iter().map(|_| RegionAccumulator::default()).collect();
-        for segment in 0..self.config.num_segments {
-            let endpoints =
-                data.sample_batch_with_stream(2, net_config.input_resolution, segment as u64)?;
-            let points = self.interpolate(&endpoints.images, self.config.points_per_segment)?;
-            let outputs = pack.forward_with(&points, workspace)?;
-            for (acc, output) in accs.iter_mut().zip(&outputs) {
-                acc.absorb_segment(&output.pre_activations, self.config.points_per_segment);
-            }
-        }
-        Ok(accs
-            .into_iter()
-            .map(|acc| acc.finish(self.config.num_segments))
-            .collect())
-    }
-
     /// Builds a batch of `steps` points interpolating linearly between the
     /// two samples of `endpoints`.
     fn interpolate(&self, endpoints: &Tensor, steps: usize) -> Result<Tensor> {
@@ -277,9 +227,7 @@ impl Default for LinearRegionEvaluator {
     }
 }
 
-/// Per-candidate region counting across probe segments, identical for the
-/// solo and packed paths (both call [`RegionAccumulator::absorb_segment`]
-/// with the same pre-activations, so reports agree bitwise).
+/// Region counting across probe segments.
 #[derive(Default)]
 struct RegionAccumulator {
     total_regions: usize,
@@ -414,34 +362,6 @@ mod tests {
             s.regions
         );
         assert!(r.relu_units > s.relu_units);
-    }
-
-    /// The mega-batching identity at the proxy layer: packed region reports
-    /// must be bitwise identical to solo evaluation of every pack member.
-    #[test]
-    fn packed_evaluation_is_bitwise_identical_to_solo() {
-        let space = SearchSpace::nas_bench_201();
-        let cells: Vec<_> = [7_000usize, 11_111, 404, 0, 15_624]
-            .iter()
-            .map(|&i| space.cell(i).unwrap())
-            .collect();
-        let eval = fast_eval();
-        let mut ws = micronas_tensor::Workspace::default();
-        for width in [1usize, 2, cells.len()] {
-            let members = &cells[..width];
-            let packed = eval
-                .evaluate_pack_in(members, DatasetKind::Cifar10, 8, &mut ws)
-                .unwrap();
-            assert_eq!(packed.len(), width);
-            for (i, cell) in members.iter().enumerate() {
-                let solo = eval.evaluate(*cell, DatasetKind::Cifar10, 8).unwrap();
-                assert_eq!(solo, packed[i], "width {width} member {i}");
-            }
-        }
-        assert!(eval
-            .evaluate_pack_in(&[], DatasetKind::Cifar10, 8, &mut ws)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
 use micronas_graph::Compiler;
-use micronas_nn::{CellNetwork, CellNetworkPack, PerSampleGradients, ProxyNetworkConfig};
+use micronas_nn::{CellNetwork, ProxyNetworkConfig};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{
     paper_default_backend, sym_eigenvalues_with, EigenOptions, EigenReport, KernelBackend, Shape,
@@ -164,7 +164,6 @@ pub struct NtkEvaluator {
     gradient_path: GradientPath,
     backend: Arc<dyn KernelBackend>,
     compiler: Option<Arc<dyn Compiler>>,
-    packed_backward: bool,
 }
 
 impl NtkEvaluator {
@@ -176,20 +175,7 @@ impl NtkEvaluator {
             gradient_path: GradientPath::default(),
             backend: paper_default_backend(),
             compiler: None,
-            packed_backward: true,
         }
-    }
-
-    /// Enables or disables the packed backward sweep inside
-    /// [`NtkEvaluator::evaluate_pack_in`] (enabled by default). Both
-    /// settings produce bitwise-identical reports — the toggle only changes
-    /// whether per-sample gradients are swept per member or packed — so
-    /// this knob, like the pack width, is *not* part of any fingerprint; it
-    /// exists so benchmarks can measure forward-only packing as a baseline.
-    #[must_use]
-    pub fn with_packed_backward(mut self, packed_backward: bool) -> Self {
-        self.packed_backward = packed_backward;
-        self
     }
 
     /// Returns a copy pinned to a specific per-sample gradient formulation
@@ -313,89 +299,6 @@ impl NtkEvaluator {
         Ok(acc.finish(&self.config))
     }
 
-    /// Cross-candidate mega-batched evaluation: every cell in the pack is
-    /// evaluated against the **same** probe batch at the **same**
-    /// `(seed, repeat)` stream — exactly what per-cell [`NtkEvaluator::evaluate_in`]
-    /// calls would use — so the forward passes run through one
-    /// [`CellNetworkPack`] whose same-geometry conv layers merge into packed
-    /// GEMM dispatches, and the per-sample gradient sweep runs as one packed
-    /// backward over the pack (same bucketing, packed weight/input-gradient
-    /// kernels, one im2col lowering of the shared probe batch for every
-    /// member's stem backward). Only the eigensolves stay per-candidate.
-    /// Element `i` of the result is bitwise identical to solo evaluation of
-    /// `cells[i]`.
-    ///
-    /// A non-default [`GradientPath`] has no packed formulation; the pack
-    /// falls back to per-candidate solo evaluation in that case (values are
-    /// the same either way — only scheduling differs).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ProxyError`] if the configuration is invalid or any
-    /// underlying numerical step fails.
-    pub fn evaluate_pack_in(
-        &self,
-        cells: &[CellTopology],
-        dataset: DatasetKind,
-        seed: u64,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<NtkReport>> {
-        self.config.validate()?;
-        if cells.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.gradient_path != GradientPath::Batched {
-            return cells
-                .iter()
-                .map(|&cell| self.evaluate_in(cell, dataset, seed, workspace))
-                .collect();
-        }
-        let _span = micronas_telemetry::span!("proxy.ntk.pack");
-        let mut net_config = self.config.network;
-        net_config.num_classes = dataset.num_classes().min(16);
-
-        let mut accs: Vec<NtkAccumulator> = cells
-            .iter()
-            .map(|_| NtkAccumulator::new(&self.config))
-            .collect();
-        for repeat in 0..self.config.repeats {
-            let repeat_seed = seed.wrapping_add(repeat as u64).wrapping_mul(0x9E37_79B9);
-            let data = SyntheticDataset::new(dataset, repeat_seed);
-            // The probe batch does not depend on the cell: one sample serves
-            // the whole pack, bitwise what each solo call would draw.
-            let batch = data.sample_batch_with_stream(
-                self.config.batch_size,
-                net_config.input_resolution,
-                repeat as u64,
-            )?;
-            let mut pack = CellNetworkPack::with_backend(
-                cells,
-                &net_config,
-                repeat_seed,
-                self.backend.clone(),
-            )?;
-            if let Some(compiler) = &self.compiler {
-                pack = pack.with_compiler(Arc::clone(compiler));
-            }
-            pack = pack.with_packed_backward(self.packed_backward);
-            let n = batch.images.shape().dims()[0];
-            let matrices = pack.per_sample_gradient_matrices_with(&batch.images, workspace)?;
-            for (acc, j) in accs.iter_mut().zip(matrices) {
-                let gram = {
-                    let _gram_span = micronas_telemetry::span!("proxy.ntk.gram");
-                    let raw = self.raw_gram_from_matrix(n, &j);
-                    workspace.recycle(j.into_values());
-                    finish_gram(n, &raw)
-                };
-                acc.absorb(repeat, &gram)?;
-            }
-        }
-        Ok(accs
-            .into_iter()
-            .map(|acc| acc.finish(&self.config))
-            .collect())
-    }
-
     /// Builds the NTK Gram matrix of a batch from **norm-normalised**
     /// per-sample gradients.
     ///
@@ -421,7 +324,9 @@ impl NtkEvaluator {
                 // matrix; the raw Gram is a single G = J·Jᵀ GEMM (f32 panels
                 // with f64 accumulation).
                 let j = net.per_sample_gradient_matrix_with(images, workspace)?;
-                let raw = self.raw_gram_from_matrix(n, &j);
+                let mut raw = vec![0.0f64; n * n];
+                self.backend
+                    .gram_nt_f64(n, j.num_parameters(), j.values(), &mut raw);
                 workspace.recycle(j.into_values());
                 raw
             }
@@ -440,19 +345,9 @@ impl NtkEvaluator {
         };
         Ok(finish_gram(n, &raw))
     }
-
-    /// The raw (uncentred) Gram `G = J·Jᵀ` of an `[n, P]` per-sample
-    /// gradient matrix, as one GEMM with f64 accumulation.
-    fn raw_gram_from_matrix(&self, n: usize, j: &PerSampleGradients) -> Vec<f64> {
-        let mut raw = vec![0.0f64; n * n];
-        self.backend
-            .gram_nt_f64(n, j.num_parameters(), j.values(), &mut raw);
-        raw
-    }
 }
 
-/// Double-centres and norm-normalises a raw Gram matrix (shared verbatim by
-/// the solo and packed evaluation paths, so they agree bitwise).
+/// Double-centres and norm-normalises a raw Gram matrix.
 ///
 /// Centring the gradients (ĝ_i = g_i − mean) is equivalent to
 /// double-centring the raw Gram: Ĝ = H G H with H = I − 11ᵀ/n. This
@@ -485,10 +380,9 @@ fn finish_gram(n: usize, raw: &[f64]) -> Tensor {
     gram
 }
 
-/// Per-candidate spectral accumulation across repeats, identical for the
-/// solo and packed paths: eigensolve the centred Gram (with a reused
-/// per-candidate scratch buffer, as solo evaluation keeps), drop the
-/// structural zero mode, and average the condition indices.
+/// Spectral accumulation across repeats: eigensolve the centred Gram (with
+/// one reused scratch buffer), drop the structural zero mode, and average
+/// the condition indices.
 struct NtkAccumulator {
     condition_sum: f64,
     indices_sum: Vec<f64>,
@@ -648,52 +542,6 @@ mod tests {
             for (a, b) in batched.eigenvalues.iter().zip(looped.eigenvalues.iter()) {
                 assert!((a - b).abs() < 1e-5 * (1.0 + b.abs()), "{a} vs {b}");
             }
-        }
-    }
-
-    /// The mega-batching identity at the proxy layer: packed NTK reports —
-    /// including the averaged indices and the repeat-0 spectrum — must be
-    /// bitwise identical to solo evaluation of every pack member.
-    #[test]
-    fn packed_evaluation_is_bitwise_identical_to_solo() {
-        let space = SearchSpace::nas_bench_201();
-        let cells: Vec<_> = [7_000usize, 11_111, 404, 0, 8_888]
-            .iter()
-            .map(|&i| space.cell(i).unwrap())
-            .collect();
-        let eval = NtkEvaluator::new(NtkConfig::fast().with_repeats(2));
-        let mut ws = Workspace::default();
-        for width in [1usize, 2, cells.len()] {
-            let members = &cells[..width];
-            let packed = eval
-                .evaluate_pack_in(members, DatasetKind::Cifar10, 6, &mut ws)
-                .unwrap();
-            assert_eq!(packed.len(), width);
-            for (i, cell) in members.iter().enumerate() {
-                let solo = eval.evaluate(*cell, DatasetKind::Cifar10, 6).unwrap();
-                assert_eq!(solo, packed[i], "width {width} member {i}");
-            }
-        }
-        assert!(eval
-            .evaluate_pack_in(&[], DatasetKind::Cifar10, 6, &mut ws)
-            .unwrap()
-            .is_empty());
-    }
-
-    /// A non-default gradient path has no packed formulation; the pack entry
-    /// falls back to per-candidate solo evaluation with identical results.
-    #[test]
-    fn packed_evaluation_falls_back_for_looped_gradients() {
-        let space = SearchSpace::nas_bench_201();
-        let cells = [space.cell(7_000).unwrap(), space.cell(404).unwrap()];
-        let eval = NtkEvaluator::new(NtkConfig::fast()).with_gradient_path(GradientPath::Looped);
-        let mut ws = Workspace::default();
-        let packed = eval
-            .evaluate_pack_in(&cells, DatasetKind::Cifar10, 3, &mut ws)
-            .unwrap();
-        for (cell, report) in cells.iter().zip(&packed) {
-            let solo = eval.evaluate(*cell, DatasetKind::Cifar10, 3).unwrap();
-            assert_eq!(&solo, report);
         }
     }
 

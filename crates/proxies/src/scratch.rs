@@ -9,7 +9,7 @@
 //! one arena per thread, so buffers stay warm across *both* halves of every
 //! candidate evaluation; [`Workspace::reset_if_larger_than`] on the way out
 //! stops one huge probe geometry from pinning peak memory for the rest of
-//! the run without churning the steady-state buffers.
+//! the run.
 
 use micronas_tensor::Workspace;
 use std::cell::RefCell;

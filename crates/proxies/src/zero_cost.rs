@@ -85,17 +85,6 @@ impl ZeroCostEvaluator {
         self
     }
 
-    /// Returns a copy with the NTK sweep's packed per-sample backward
-    /// kernels toggled (see [`NtkEvaluator::with_packed_backward`]).
-    /// `false` restores the forward-only packing of the pre-packed-backward
-    /// pipeline — the linear-region indicator has no backward pass, so only
-    /// the NTK half changes. Results are bitwise identical either way.
-    #[must_use]
-    pub fn with_packed_backward(mut self, packed_backward: bool) -> Self {
-        self.ntk = self.ntk.with_packed_backward(packed_backward);
-        self
-    }
-
     /// A fast evaluator for tests and quick searches.
     pub fn fast() -> Self {
         Self::new(NtkConfig::fast(), LinearRegionConfig::fast())
@@ -139,45 +128,6 @@ impl ZeroCostEvaluator {
             expressivity: lr.expressivity_score(),
         })
     }
-
-    /// Cross-candidate mega-batched evaluation of both indicators: one
-    /// [`NtkEvaluator::evaluate_pack_in`] sweep and one
-    /// [`LinearRegionEvaluator::evaluate_pack_in`] sweep, sharing a single
-    /// thread-local scratch arena (retained under the NTK backend's
-    /// policy). Element `i` of the result is bitwise identical to
-    /// [`ZeroCostEvaluator::evaluate`] on `cells[i]` alone — the packed
-    /// sweeps merge same-geometry GEMM dispatches without changing any
-    /// per-candidate arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any proxy evaluation failure.
-    pub fn evaluate_pack(
-        &self,
-        cells: &[CellTopology],
-        dataset: DatasetKind,
-        seed: u64,
-    ) -> Result<Vec<ZeroCostMetrics>> {
-        crate::scratch::with_thread_workspace_capped(
-            self.ntk.backend().arena_retention_cap_bytes(),
-            |workspace| {
-                let ntk = self.ntk.evaluate_pack_in(cells, dataset, seed, workspace)?;
-                let lr = self
-                    .linear_regions
-                    .evaluate_pack_in(cells, dataset, seed, workspace)?;
-                Ok(ntk
-                    .into_iter()
-                    .zip(lr)
-                    .map(|(n, l)| ZeroCostMetrics {
-                        ntk_condition: n.condition_number,
-                        linear_regions: l.regions,
-                        trainability: n.trainability_score(),
-                        expressivity: l.expressivity_score(),
-                    })
-                    .collect())
-            },
-        )
-    }
 }
 
 impl Default for ZeroCostEvaluator {
@@ -220,37 +170,6 @@ mod tests {
         let b = eval.evaluate(poor, DatasetKind::Cifar10, 2).unwrap();
         assert!(a.trainability > b.trainability);
         assert!(a.expressivity > b.expressivity);
-    }
-
-    /// The combined pack entry must reproduce solo evaluation bitwise for
-    /// every member, across the regimes the search strategies hit (width 1,
-    /// partial packs, full packs, duplicated cells).
-    #[test]
-    fn packed_evaluation_is_bitwise_identical_to_solo() {
-        let space = SearchSpace::nas_bench_201();
-        let mut cells: Vec<_> = [7_000usize, 404, 0]
-            .iter()
-            .map(|&i| space.cell(i).unwrap())
-            .collect();
-        // Duplicates are legal pack members (the context layer dedups, the
-        // evaluator must not depend on it).
-        cells.push(cells[0]);
-        let eval = ZeroCostEvaluator::fast();
-        for width in [1usize, 2, cells.len()] {
-            let members = &cells[..width];
-            let packed = eval
-                .evaluate_pack(members, DatasetKind::Cifar10, 11)
-                .unwrap();
-            assert_eq!(packed.len(), width);
-            for (i, cell) in members.iter().enumerate() {
-                let solo = eval.evaluate(*cell, DatasetKind::Cifar10, 11).unwrap();
-                assert_eq!(solo, packed[i], "width {width} member {i}");
-            }
-        }
-        assert!(eval
-            .evaluate_pack(&[], DatasetKind::Cifar10, 11)
-            .unwrap()
-            .is_empty());
     }
 
     #[test]

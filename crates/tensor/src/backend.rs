@@ -34,10 +34,9 @@
 //! no backend is supplied explicitly.
 
 use crate::conv::{
-    check_backward_weight_args, conv2d_backward_input_packed_pooled, conv2d_backward_input_pooled,
-    conv2d_backward_weight_per_sample_into, conv2d_backward_weight_per_sample_packed_into,
-    conv2d_backward_weight_unchecked, conv2d_backward_weight_with, conv2d_direct, conv2d_pooled,
-    direct_weight_grad_sample, PackedGradSlot,
+    check_backward_weight_args, conv2d_backward_input_pooled,
+    conv2d_backward_weight_per_sample_into, conv2d_backward_weight_unchecked,
+    conv2d_backward_weight_with, conv2d_direct, conv2d_pooled, direct_weight_grad_sample,
 };
 use crate::pool::{avg_pool2d_backward_pooled, avg_pool2d_pooled};
 use crate::rng::hash_mix;
@@ -120,45 +119,6 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
         workspace: &mut Workspace,
     ) -> Result<Tensor>;
 
-    /// Forward convolution of several same-shape inputs against one shared
-    /// weight — the cross-candidate mega-batching entry point.
-    ///
-    /// The default implementation is the per-candidate oracle: one
-    /// [`KernelBackend::conv2d`] per input, in order, so every backend is
-    /// pack-conformant by construction. Backends that can fuse the panels
-    /// into one wide dispatch override this; the override must stay
-    /// **bitwise identical** to the default for that backend (the packed
-    /// evaluation path promises bit-equality with the one-at-a-time path at
-    /// every pack width).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for inconsistent shapes, or if the inputs do not
-    /// all share one shape.
-    fn conv2d_forward_packed(
-        &self,
-        inputs: &[&Tensor],
-        weight: &Tensor,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        if let Some(first) = inputs.first() {
-            for input in &inputs[1..] {
-                if input.shape() != first.shape() {
-                    return Err(TensorError::IncompatibleShapes {
-                        op: "conv2d_forward_packed (inputs)",
-                        lhs: first.shape().dims().to_vec(),
-                        rhs: input.shape().dims().to_vec(),
-                    });
-                }
-            }
-        }
-        inputs
-            .iter()
-            .map(|input| self.conv2d(input, weight, spec, workspace))
-            .collect()
-    }
-
     /// Gradient of the convolution output w.r.t. its input.
     ///
     /// # Errors
@@ -211,83 +171,6 @@ pub trait KernelBackend: std::fmt::Debug + Send + Sync {
         row_stride: usize,
         offset: usize,
     ) -> Result<()>;
-
-    /// Packed per-sample weight gradients: one grouped dispatch computing
-    /// [`KernelBackend::conv2d_backward_weight_per_sample_into`] for every
-    /// pack member (each with its own destination slot, since members'
-    /// parameter counts and layer offsets differ).
-    ///
-    /// The default implementation loops the solo per-sample kernel, which
-    /// makes every backend pack-conformant by construction. Backends that
-    /// can amortise work across members (sharing one im2col lowering of
-    /// bitwise-identical probe activations) override it, but the override
-    /// must keep the per-candidate schedule of the solo path so results stay
-    /// bitwise-identical at every pack width — the same discipline as
-    /// [`KernelBackend::conv2d_forward_packed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if slice lengths disagree, for inconsistent shapes
-    /// or a too-short buffer, or if the backend does not support gradients.
-    fn conv2d_backward_weight_per_sample_packed(
-        &self,
-        inputs: &[&Tensor],
-        grad_outs: &[&Tensor],
-        c_out: usize,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-        slots: &mut [PackedGradSlot<'_>],
-    ) -> Result<()> {
-        if inputs.len() != grad_outs.len() || inputs.len() != slots.len() {
-            return Err(TensorError::InvalidArgument(format!(
-                "packed per-sample backward arity mismatch: {} inputs, {} grads, {} slots",
-                inputs.len(),
-                grad_outs.len(),
-                slots.len()
-            )));
-        }
-        for ((input, grad_out), slot) in inputs.iter().zip(grad_outs).zip(slots.iter_mut()) {
-            self.conv2d_backward_weight_per_sample_into(
-                input,
-                grad_out,
-                c_out,
-                spec,
-                workspace,
-                slot.out,
-                slot.row_stride,
-                slot.offset,
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Packed input gradients: one grouped dispatch computing
-    /// [`KernelBackend::conv2d_backward_input`] for every pack member
-    /// against one shared weight tensor.
-    ///
-    /// The default implementation loops the solo kernel; overrides must be
-    /// bitwise-identical to that loop at every pack width (see
-    /// [`KernelBackend::conv2d_backward_weight_per_sample_packed`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for inconsistent shapes, or if the backend does not
-    /// support gradients.
-    fn conv2d_backward_input_packed(
-        &self,
-        weight: &Tensor,
-        grad_outs: &[&Tensor],
-        input_shape: &Shape,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        grad_outs
-            .iter()
-            .map(|grad_out| {
-                self.conv2d_backward_input(weight, grad_out, input_shape, spec, workspace)
-            })
-            .collect()
-    }
 
     /// Average pooling with count-include-pad semantics.
     ///
@@ -747,19 +630,6 @@ impl KernelBackend for BlockedGemmBackend {
         conv2d_pooled(input, weight, spec, workspace)
     }
 
-    fn conv2d_forward_packed(
-        &self,
-        inputs: &[&Tensor],
-        weight: &Tensor,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        // The packed free function proves its own bitwise-identity contract
-        // (schedule guard + per-candidate fallback), so this override keeps
-        // the paper-default numerics at every pack width.
-        crate::conv::conv2d_forward_packed_pooled(inputs, weight, spec, workspace)
-    }
-
     fn conv2d_backward_input(
         &self,
         weight: &Tensor,
@@ -796,35 +666,6 @@ impl KernelBackend for BlockedGemmBackend {
         conv2d_backward_weight_per_sample_into(
             input, grad_out, c_out, spec, workspace, out, row_stride, offset,
         )
-    }
-
-    fn conv2d_backward_weight_per_sample_packed(
-        &self,
-        inputs: &[&Tensor],
-        grad_outs: &[&Tensor],
-        c_out: usize,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-        slots: &mut [PackedGradSlot<'_>],
-    ) -> Result<()> {
-        // The packed free function iterates the exact solo per-candidate
-        // schedule (sharing only the im2col lowering of bitwise-equal
-        // inputs), so this override keeps the paper-default numerics at
-        // every pack width.
-        conv2d_backward_weight_per_sample_packed_into(
-            inputs, grad_outs, c_out, spec, workspace, slots,
-        )
-    }
-
-    fn conv2d_backward_input_packed(
-        &self,
-        weight: &Tensor,
-        grad_outs: &[&Tensor],
-        input_shape: &Shape,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        conv2d_backward_input_packed_pooled(weight, grad_outs, input_shape, spec, workspace)
     }
 
     fn avg_pool2d(
@@ -905,11 +746,7 @@ impl KernelBackend for BlockedGemmBackend {
 #[derive(Debug)]
 struct DispatchCounters {
     conv_solo: &'static str,
-    conv_packed: &'static str,
-    conv_packed_inputs: &'static str,
     backward: &'static str,
-    backward_packed: &'static str,
-    backward_packed_members: &'static str,
     pool: &'static str,
     gemm: &'static str,
     gram: &'static str,
@@ -919,15 +756,7 @@ macro_rules! dispatch_counters {
     ($family:literal) => {
         DispatchCounters {
             conv_solo: concat!("tensor.backend.", $family, ".conv_solo_dispatches"),
-            conv_packed: concat!("tensor.backend.", $family, ".conv_packed_dispatches"),
-            conv_packed_inputs: concat!("tensor.backend.", $family, ".conv_packed_inputs"),
             backward: concat!("tensor.backend.", $family, ".backward_dispatches"),
-            backward_packed: concat!("tensor.backend.", $family, ".backward_packed_dispatches"),
-            backward_packed_members: concat!(
-                "tensor.backend.",
-                $family,
-                ".backward_packed_members"
-            ),
             pool: concat!("tensor.backend.", $family, ".pool_dispatches"),
             gemm: concat!("tensor.backend.", $family, ".gemm_dispatches"),
             gram: concat!("tensor.backend.", $family, ".gram_dispatches"),
@@ -1005,19 +834,6 @@ impl KernelBackend for InstrumentedBackend {
         self.inner.conv2d(input, weight, spec, workspace)
     }
 
-    fn conv2d_forward_packed(
-        &self,
-        inputs: &[&Tensor],
-        weight: &Tensor,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        micronas_telemetry::counter_add(self.counters.conv_packed, 1);
-        micronas_telemetry::counter_add(self.counters.conv_packed_inputs, inputs.len() as u64);
-        self.inner
-            .conv2d_forward_packed(inputs, weight, spec, workspace)
-    }
-
     fn conv2d_backward_input(
         &self,
         weight: &Tensor,
@@ -1059,39 +875,6 @@ impl KernelBackend for InstrumentedBackend {
         self.inner.conv2d_backward_weight_per_sample_into(
             input, grad_out, c_out, spec, workspace, out, row_stride, offset,
         )
-    }
-
-    fn conv2d_backward_weight_per_sample_packed(
-        &self,
-        inputs: &[&Tensor],
-        grad_outs: &[&Tensor],
-        c_out: usize,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-        slots: &mut [PackedGradSlot<'_>],
-    ) -> Result<()> {
-        micronas_telemetry::counter_add(self.counters.backward_packed, 1);
-        micronas_telemetry::counter_add(self.counters.backward_packed_members, inputs.len() as u64);
-        self.inner.conv2d_backward_weight_per_sample_packed(
-            inputs, grad_outs, c_out, spec, workspace, slots,
-        )
-    }
-
-    fn conv2d_backward_input_packed(
-        &self,
-        weight: &Tensor,
-        grad_outs: &[&Tensor],
-        input_shape: &Shape,
-        spec: Conv2dSpec,
-        workspace: &mut Workspace,
-    ) -> Result<Vec<Tensor>> {
-        micronas_telemetry::counter_add(self.counters.backward_packed, 1);
-        micronas_telemetry::counter_add(
-            self.counters.backward_packed_members,
-            grad_outs.len() as u64,
-        );
-        self.inner
-            .conv2d_backward_input_packed(weight, grad_outs, input_shape, spec, workspace)
     }
 
     fn avg_pool2d(

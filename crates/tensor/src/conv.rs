@@ -289,74 +289,6 @@ pub(crate) fn im2col(
     }
 }
 
-/// [`im2col`] into a slice of a wider column matrix: lowers one image into
-/// the `oh·ow` columns starting at `col_offset` of a destination whose rows
-/// are `row_stride` elements long. The cross-candidate packed forward uses
-/// this to place several candidates' panels side by side in one tall column
-/// matrix; `im2col(.., col)` is exactly `im2col_strided(.., col, ohow, 0)`.
-/// Every element of the addressed region is written.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn im2col_strided(
-    image: &[f32],
-    c_in: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-    oh: usize,
-    ow: usize,
-    col: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
-) {
-    let k = spec.kernel;
-    let ohow = oh * ow;
-    micronas_telemetry::counter_add(
-        "tensor.im2col.bytes",
-        (c_in * k * k * ohow * std::mem::size_of::<f32>()) as u64,
-    );
-    debug_assert!(col_offset + ohow <= row_stride);
-    debug_assert!(col.len() >= (c_in * k * k - 1) * row_stride + col_offset + ohow);
-    for c in 0..c_in {
-        let plane = &image[c * h * w..(c + 1) * h * w];
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (c * k + ky) * k + kx;
-                let dst = &mut col[row * row_stride + col_offset..][..ohow];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride + ky) as isize - spec.padding as isize;
-                    let dst_row = &mut dst[oy * ow..(oy + 1) * ow];
-                    if iy < 0 || iy >= h as isize {
-                        dst_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &plane[iy as usize * w..(iy as usize + 1) * w];
-                    if spec.stride == 1 {
-                        let shift = kx as isize - spec.padding as isize;
-                        let ox_lo = (-shift).clamp(0, ow as isize) as usize;
-                        let ox_hi = (w as isize - shift).clamp(0, ow as isize) as usize;
-                        dst_row[..ox_lo].fill(0.0);
-                        dst_row[ox_hi..].fill(0.0);
-                        if ox_lo < ox_hi {
-                            let src_lo = (ox_lo as isize + shift) as usize;
-                            dst_row[ox_lo..ox_hi]
-                                .copy_from_slice(&src_row[src_lo..src_lo + (ox_hi - ox_lo)]);
-                        }
-                    } else {
-                        for (ox, out) in dst_row.iter_mut().enumerate() {
-                            let ix = (ox * spec.stride + kx) as isize - spec.padding as isize;
-                            *out = if ix < 0 || ix >= w as isize {
-                                0.0
-                            } else {
-                                src_row[ix as usize]
-                            };
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Scatter-adds a `[C·K·K, OH·OW]` column-gradient matrix back into one
 /// image-gradient slice (`[C, H, W]`); the inverse of [`im2col`].
 #[allow(clippy::too_many_arguments)]
@@ -584,135 +516,6 @@ pub(crate) fn conv2d_direct_unchecked(
 }
 
 // ---------------------------------------------------------------------------
-// Cross-candidate packed forward
-// ---------------------------------------------------------------------------
-
-/// Whether packing several same-geometry convolutions into one wide GEMM is
-/// **bitwise identical** to running them one at a time.
-///
-/// Both GEMM schedules accumulate every output element over `k` in the same
-/// order regardless of the output width, so widening the column panel from
-/// `oh·ow` to `P·n·oh·ow` only changes numerics if it moves the dispatch in
-/// [`gemm_nn`] across the narrow/wide schedule boundary. Merging is safe iff
-/// the solo shape already dispatches to a width-independent decision:
-///
-/// * `ckk ≥ GEMM_DEEP_K` — deep problems use the register-tiled schedule at
-///   any width, or
-/// * `ohow > GEMM_NARROW_N` — the solo GEMM is already on the wide streaming
-///   schedule, and the packed (strictly wider) panel stays there.
-///
-/// Otherwise (`ohow ≤ 32` and `ckk < 64`) the solo GEMM is register-tiled
-/// but the packed one would go wide, so the packed path must fall back to
-/// the per-candidate loop.
-fn pack_preserves_gemm_schedule(ckk: usize, ohow: usize) -> bool {
-    use crate::linalg::{GEMM_DEEP_K, GEMM_NARROW_N};
-    ckk >= GEMM_DEEP_K || ohow > GEMM_NARROW_N
-}
-
-/// Forward convolution of several same-shape inputs against one shared
-/// weight tensor, packed into a single wide GEMM when that is bitwise-safe.
-///
-/// This is the cross-candidate mega-batching kernel: N candidates whose
-/// layers share a geometry (`c_in, c_out, kernel, h, w`) have their im2col
-/// panels placed side by side in one tall `[C_in·K·K, N·n·OH·OW]` column
-/// matrix and multiplied in one dispatch, amortising the GEMM setup,
-/// blocking overhead and weight traffic that dominate tiny per-candidate
-/// problems. Output tensors are drawn from the workspace recycling pool
-/// (recycle them like [`conv2d_pooled`] outputs).
-///
-/// **Bitwise contract:** the result is bit-for-bit identical to calling
-/// [`conv2d_pooled`] once per input. The packed GEMM runs only when the
-/// solo dispatch decisions are provably width-independent (same direct/GEMM
-/// choice — geometry-determined — and same GEMM schedule, see
-/// `pack_preserves_gemm_schedule`); anything else falls back to the
-/// per-candidate loop.
-///
-/// # Errors
-///
-/// Returns an error under the same conditions as [`conv2d`], or if the
-/// inputs do not all share one shape.
-pub fn conv2d_forward_packed_pooled(
-    inputs: &[&Tensor],
-    weight: &Tensor,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-) -> Result<Vec<Tensor>> {
-    let Some(first) = inputs.first() else {
-        return Ok(Vec::new());
-    };
-    let (n, c_in, h, w, c_out, k) = check_conv_args(first, weight, spec)?;
-    for input in &inputs[1..] {
-        if input.shape() != first.shape() {
-            return Err(TensorError::IncompatibleShapes {
-                op: "conv2d_forward_packed (inputs)",
-                lhs: first.shape().dims().to_vec(),
-                rhs: input.shape().dims().to_vec(),
-            });
-        }
-    }
-    let (oh, ow) = spec.output_hw(h, w);
-    let ohow = oh * ow;
-    let ckk = c_in * k * k;
-    if inputs.len() == 1
-        || use_direct(n, c_in, c_out, k, oh, ow)
-        || !pack_preserves_gemm_schedule(ckk, ohow)
-    {
-        // Per-candidate oracle path: identical geometry means every input
-        // makes the same dispatch decision the solo path would.
-        return inputs
-            .iter()
-            .map(|input| conv2d_pooled(input, weight, spec, workspace))
-            .collect();
-    }
-
-    let pack = inputs.len();
-    let total_cols = pack * n * ohow;
-    let in_stride = c_in * h * w;
-    let out_stride = c_out * ohow;
-    // Draw the owned per-candidate outputs from the pool *before* borrowing
-    // the col/aux staging buffers.
-    let mut outs: Vec<Vec<f32>> = (0..pack).map(|_| workspace.take(n * out_stride)).collect();
-    let (col, aux) = workspace.col_and_aux(ckk * total_cols, c_out * total_cols);
-    for (p, input) in inputs.iter().enumerate() {
-        for b in 0..n {
-            let image = &input.data()[b * in_stride..(b + 1) * in_stride];
-            let col_offset = (p * n + b) * ohow;
-            if spec.is_pointwise() {
-                // The column matrix of a pointwise conv is the image itself:
-                // copy its rows into place instead of lowering.
-                for row in 0..ckk {
-                    col[row * total_cols + col_offset..][..ohow]
-                        .copy_from_slice(&image[row * ohow..(row + 1) * ohow]);
-                }
-            } else {
-                im2col_strided(image, c_in, h, w, spec, oh, ow, col, total_cols, col_offset);
-            }
-        }
-    }
-    // One wide dispatch for the whole bucket. `accumulate = false` clears
-    // the destination, so stale pool contents are harmless.
-    gemm_nn(c_out, ckk, total_cols, weight.data(), col, aux, false);
-    // De-interleave the `[C_out, total_cols]` product into per-candidate
-    // `[n, C_out, OH, OW]` tensors.
-    for (p, out) in outs.iter_mut().enumerate() {
-        for b in 0..n {
-            let col_offset = (p * n + b) * ohow;
-            for oc in 0..c_out {
-                out[b * out_stride + oc * ohow..][..ohow]
-                    .copy_from_slice(&aux[oc * total_cols + col_offset..][..ohow]);
-            }
-        }
-    }
-    let shape = Shape::nchw(n, c_out, oh, ow);
-    Ok(outs
-        .into_iter()
-        .map(|data| {
-            Tensor::from_vec(shape.clone(), data).expect("length matches shape by construction")
-        })
-        .collect())
-}
-
-// ---------------------------------------------------------------------------
 // Weight gradient
 // ---------------------------------------------------------------------------
 
@@ -913,184 +716,6 @@ pub fn conv2d_backward_weight_per_sample_into(
         gemm_nn(ckk, ohow, c_out, bmat, g_t, w_t, false);
         let dst = &mut out[b * row_stride + offset..b * row_stride + offset + per_sample];
         transpose_into(w_t, ckk, c_out, dst);
-    }
-    Ok(())
-}
-
-/// One pack member's destination inside its own `[N, P]` per-sample gradient
-/// matrix: sample `b`'s flattened layer gradient lands at
-/// `out[b * row_stride + offset ..][.. c_out·c_in·k²]`.
-///
-/// Pack members generally have *different* parameter counts and layer
-/// offsets (their cell topologies differ away from the shared edge), so the
-/// packed backward entry points take one slot per member instead of a shared
-/// stride/offset pair.
-#[derive(Debug)]
-pub struct PackedGradSlot<'a> {
-    /// The member's full `[N, P]` gradient matrix buffer.
-    pub out: &'a mut [f32],
-    /// Row stride: the member's total parameter count `P`.
-    pub row_stride: usize,
-    /// This layer's parameter offset within a row.
-    pub offset: usize,
-}
-
-/// `true` when `a` and `b` hold bitwise-identical f32 payloads.
-fn bitwise_eq(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// Packed per-sample weight gradients: one grouped dispatch computing
-/// [`conv2d_backward_weight_per_sample_into`] for every pack member in a
-/// single call.
-///
-/// All members share the convolution geometry (`spec`, `c_out`, input
-/// shape), so the im2col lowering of a member's probe activations depends
-/// only on the activation bytes — and in a mega-batched backward sweep those
-/// bytes are frequently *identical* across members (every member's first
-/// edge consumes the shared stem output). The kernel exploits this by
-/// lowering the full batch of a member's input into one tall column panel
-/// and reusing that panel verbatim for every subsequent member whose input
-/// is bitwise the same, amortising the dominant `k²`-fold expansion across
-/// the pack.
-///
-/// Bitwise identity with the solo path holds by construction rather than by
-/// a width gate: the grouped dispatch *iterates* the exact per-candidate,
-/// per-sample schedule of [`conv2d_backward_weight_per_sample_into`] — the
-/// same `use_direct(1, ..)` engine decision, the same `(ckk, ohow, c_out)`
-/// GEMM shapes, the same transpose staging — it never widens a GEMM across
-/// members. Sharing a lowered panel is safe for the same reason the shared
-/// stem forward is: equal input bytes lower to equal column bytes.
-///
-/// # Errors
-///
-/// Returns an error if the slice lengths disagree, any member's shapes are
-/// inconsistent with the lead member or with `spec`, or a member's `out`
-/// buffer is too short for the last sample's slice.
-pub fn conv2d_backward_weight_per_sample_packed_into(
-    inputs: &[&Tensor],
-    grad_outs: &[&Tensor],
-    c_out: usize,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-    slots: &mut [PackedGradSlot<'_>],
-) -> Result<()> {
-    if inputs.len() != grad_outs.len() || inputs.len() != slots.len() {
-        return Err(TensorError::InvalidArgument(format!(
-            "packed per-sample backward arity mismatch: {} inputs, {} grads, {} slots",
-            inputs.len(),
-            grad_outs.len(),
-            slots.len()
-        )));
-    }
-    let Some(first) = inputs.first() else {
-        return Ok(());
-    };
-    // A lone member gains nothing from the tall panel; run the solo kernel
-    // with its solo-sized workspace footprint.
-    if inputs.len() == 1 {
-        let slot = &mut slots[0];
-        return conv2d_backward_weight_per_sample_into(
-            inputs[0],
-            grad_outs[0],
-            c_out,
-            spec,
-            workspace,
-            slot.out,
-            slot.row_stride,
-            slot.offset,
-        );
-    }
-    let (n, c_in, h, w, oh, ow) = check_backward_weight_args(first, grad_outs[0], c_out, spec)?;
-    let k = spec.kernel;
-    let per_sample = c_out * c_in * k * k;
-    for ((input, grad_out), slot) in inputs.iter().zip(grad_outs).zip(slots.iter()) {
-        if input.shape() != first.shape() {
-            return Err(TensorError::IncompatibleShapes {
-                op: "conv2d_backward_weight_per_sample_packed",
-                lhs: input.shape().dims().to_vec(),
-                rhs: first.shape().dims().to_vec(),
-            });
-        }
-        check_backward_weight_args(input, grad_out, c_out, spec)?;
-        if n > 0 && slot.out.len() < (n - 1) * slot.row_stride + slot.offset + per_sample {
-            return Err(TensorError::InvalidArgument(format!(
-                "per-sample gradient output buffer too short: {} < {}",
-                slot.out.len(),
-                (n - 1) * slot.row_stride + slot.offset + per_sample
-            )));
-        }
-    }
-    // Same geometry-only (batch-1) engine decision as the solo per-sample
-    // kernel — shared by every member, so the packed dispatch can never
-    // diverge from a per-member loop of solo calls.
-    if use_direct(1, c_in, c_out, k, oh, ow) {
-        for ((input, grad_out), slot) in inputs.iter().zip(grad_outs).zip(slots.iter_mut()) {
-            for b in 0..n {
-                let dst = &mut slot.out[b * slot.row_stride + slot.offset..][..per_sample];
-                direct_weight_grad_sample(input, grad_out, b, c_out, c_in, h, w, oh, ow, spec, dst);
-            }
-        }
-        return Ok(());
-    }
-    let ohow = oh * ow;
-    let ckk = c_in * k * k;
-    let in_stride = c_in * h * w;
-    let out_stride = c_out * ohow;
-    if spec.is_pointwise() {
-        // Pointwise layers use the image itself as the column matrix:
-        // nothing to lower or share, so run the solo per-sample schedule per
-        // member with a single staging acquisition for the whole pack.
-        let (_, aux) = workspace.col_and_aux(0, (ohow + ckk) * c_out);
-        let (g_t, w_t) = aux.split_at_mut(ohow * c_out);
-        for ((input, grad_out), slot) in inputs.iter().zip(grad_outs).zip(slots.iter_mut()) {
-            for b in 0..n {
-                let image = &input.data()[b * in_stride..(b + 1) * in_stride];
-                let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-                transpose_into(g, c_out, ohow, g_t);
-                gemm_nn(ckk, ohow, c_out, image, g_t, w_t, false);
-                let dst = &mut slot.out[b * slot.row_stride + slot.offset..][..per_sample];
-                transpose_into(w_t, ckk, c_out, dst);
-            }
-        }
-        return Ok(());
-    }
-    // Tall column panel: all N samples of one member's input lowered side by
-    // side, each sample's block in the exact layout the solo kernel feeds
-    // its GEMM. The panel is rebuilt only when a member's input bytes differ
-    // from the member whose lowering currently occupies it — a pointer check
-    // first, then a bitwise compare (~1/k² of the lowering cost), so packs
-    // fed the shared stem output lower it exactly once.
-    let (col, aux) = workspace.col_and_aux(n * ckk * ohow, (ohow + ckk) * c_out);
-    let (g_t, w_t) = aux.split_at_mut(ohow * c_out);
-    let mut lowered_for: Option<&[f32]> = None;
-    for ((input, grad_out), slot) in inputs.iter().zip(grad_outs).zip(slots.iter_mut()) {
-        let data = input.data();
-        let shared = lowered_for
-            .is_some_and(|prev| prev.as_ptr() == data.as_ptr() || bitwise_eq(prev, data));
-        if !shared {
-            for b in 0..n {
-                im2col(
-                    &data[b * in_stride..(b + 1) * in_stride],
-                    c_in,
-                    h,
-                    w,
-                    spec,
-                    oh,
-                    ow,
-                    &mut col[b * ckk * ohow..(b + 1) * ckk * ohow],
-                );
-            }
-            lowered_for = Some(data);
-        }
-        for b in 0..n {
-            let bmat = &col[b * ckk * ohow..(b + 1) * ckk * ohow];
-            let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-            transpose_into(g, c_out, ohow, g_t);
-            gemm_nn(ckk, ohow, c_out, bmat, g_t, w_t, false);
-            let dst = &mut slot.out[b * slot.row_stride + slot.offset..][..per_sample];
-            transpose_into(w_t, ckk, c_out, dst);
-        }
     }
     Ok(())
 }
@@ -1390,105 +1015,6 @@ fn conv2d_backward_input_assign(
     Ok(grad_in)
 }
 
-/// Packed input gradients: one grouped dispatch computing
-/// [`conv2d_backward_input_pooled`] for every pack member in a single call.
-///
-/// Pack members sharing a bucket share the *weight* operand (position-keyed
-/// seeding makes same-edge weights bitwise-identical across a pack) while
-/// each carries its own output gradient. The grouped dispatch iterates the
-/// exact per-candidate schedule of the solo kernel — same `use_direct`
-/// decision, same per-sample `gemm_tn` shapes (a single cache-blocked
-/// schedule with no width-sensitive split), same `col2im` scatter — so the
-/// results are bitwise-identical to a loop of solo calls; the pack merely
-/// amortises the staging acquisition and keeps the shared weight hot across
-/// members. Gradients are drawn from the workspace recycling pool.
-///
-/// # Errors
-///
-/// Returns an error if any member's shapes are inconsistent with
-/// `input_shape` or `spec`.
-pub fn conv2d_backward_input_packed_pooled(
-    weight: &Tensor,
-    grad_outs: &[&Tensor],
-    input_shape: &Shape,
-    spec: Conv2dSpec,
-    workspace: &mut Workspace,
-) -> Result<Vec<Tensor>> {
-    let Some(first) = grad_outs.first() else {
-        return Ok(Vec::new());
-    };
-    let (n, c_in, h, w, c_out, oh, ow) =
-        check_backward_input_args(weight, first, input_shape, spec)?;
-    for grad_out in grad_outs {
-        check_backward_input_args(weight, grad_out, input_shape, spec)?;
-    }
-    let mut grads = Vec::with_capacity(grad_outs.len());
-    if use_direct(n, c_in, c_out, spec.kernel, oh, ow) {
-        for grad_out in grad_outs {
-            let mut grad_in = Tensor::from_vec(
-                input_shape.clone(),
-                workspace.take_zeroed(input_shape.numel()),
-            )
-            .expect("length matches shape by construction");
-            conv2d_backward_input_unchecked(
-                weight,
-                grad_out,
-                spec,
-                n,
-                c_in,
-                h,
-                w,
-                c_out,
-                oh,
-                ow,
-                &mut grad_in,
-            );
-            grads.push(grad_in);
-        }
-        return Ok(grads);
-    }
-    let ohow = oh * ow;
-    let ckk = c_in * spec.kernel * spec.kernel;
-    let in_stride = c_in * h * w;
-    let out_stride = c_out * ohow;
-    let w_mat = weight.data();
-    if spec.is_pointwise() {
-        for grad_out in grad_outs {
-            let mut grad_in = Tensor::from_vec(
-                input_shape.clone(),
-                workspace.take_zeroed(input_shape.numel()),
-            )
-            .expect("length matches shape by construction");
-            let gi = grad_in.data_mut();
-            for b in 0..n {
-                let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-                let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
-                gemm_tn(ckk, c_out, ohow, w_mat, g, dst, false);
-            }
-            grads.push(grad_in);
-        }
-        return Ok(grads);
-    }
-    // The staging slice re-uses one auxiliary allocation across the whole
-    // pack: every member's per-sample column gradient is fully overwritten
-    // before its `col2im` scatter, exactly as in the solo kernel.
-    for grad_out in grad_outs {
-        let raw = workspace.take_zeroed(input_shape.numel());
-        let stage = workspace.aux_buffer(ckk * ohow);
-        let mut grad_in = Tensor::from_vec(input_shape.clone(), raw)
-            .expect("length matches shape by construction");
-        let gi = grad_in.data_mut();
-        for b in 0..n {
-            let g = &grad_out.data()[b * out_stride..(b + 1) * out_stride];
-            gemm_tn(ckk, c_out, ohow, w_mat, g, stage, false);
-            let dst = &mut gi[b * in_stride..(b + 1) * in_stride];
-            col2im_add(stage, c_in, h, w, spec, oh, ow, dst);
-        }
-        grads.push(grad_in);
-    }
-    Ok(grads)
-}
-
 pub(crate) fn check_backward_input_args(
     weight: &Tensor,
     grad_out: &Tensor,
@@ -1649,115 +1175,6 @@ mod tests {
         let weight = Tensor::zeros(Shape::nchw(1, 1, 3, 3));
         assert!(conv2d(&input, &weight, Conv2dSpec::new(1, 1, 0)).is_err());
         assert!(conv2d_direct(&input, &weight, Conv2dSpec::new(1, 1, 0)).is_err());
-    }
-
-    /// Packed-vs-solo bitwise identity over one geometry at several pack
-    /// widths, under the engine currently in force.
-    fn assert_packed_matches_solo(shape: Shape, weight: Tensor, spec: Conv2dSpec, seed: u64) {
-        for width in [1usize, 2, 8] {
-            let inputs: Vec<Tensor> = (0..width)
-                .map(|i| random_tensor(shape.clone(), seed + i as u64))
-                .collect();
-            let refs: Vec<&Tensor> = inputs.iter().collect();
-            let mut packed_ws = Workspace::default();
-            let packed = conv2d_forward_packed_pooled(&refs, &weight, spec, &mut packed_ws)
-                .expect("packed conv");
-            assert_eq!(packed.len(), width);
-            for (input, got) in inputs.iter().zip(&packed) {
-                let mut solo_ws = Workspace::default();
-                let want = conv2d_pooled(input, &weight, spec, &mut solo_ws).expect("solo conv");
-                assert_eq!(got, &want, "width {width} must be bitwise solo");
-            }
-        }
-    }
-
-    #[test]
-    fn packed_forward_is_bitwise_solo_across_geometries() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap();
-        set_conv_engine(ConvEngine::Auto);
-        // Merged wide schedule: pointwise, ohow 144 > 32.
-        assert_packed_matches_solo(
-            Shape::nchw(2, 6, 12, 12),
-            random_tensor(Shape::nchw(6, 6, 1, 1), 40),
-            Conv2dSpec::new(1, 1, 0),
-            400,
-        );
-        // Merged register-tiled schedule: ckk 72 >= 64, ohow 25 <= 32.
-        assert_packed_matches_solo(
-            Shape::nchw(2, 8, 5, 5),
-            random_tensor(Shape::nchw(8, 8, 3, 3), 41),
-            Conv2dSpec::new(3, 1, 1),
-            500,
-        );
-        // Schedule boundary (ohow <= 32, ckk < 64): solo would be
-        // register-tiled but a pack would go wide — the guard must force the
-        // per-candidate fallback, which is trivially identical.
-        assert_packed_matches_solo(
-            Shape::nchw(3, 2, 5, 5),
-            random_tensor(Shape::nchw(4, 2, 3, 3), 42),
-            Conv2dSpec::new(3, 1, 1),
-            600,
-        );
-        // Below the direct-dispatch threshold: per-candidate direct loops.
-        assert_packed_matches_solo(
-            Shape::nchw(1, 2, 4, 4),
-            random_tensor(Shape::nchw(2, 2, 3, 3), 43),
-            Conv2dSpec::new(3, 1, 1),
-            700,
-        );
-        // Strided non-pointwise merge (wide schedule).
-        assert_packed_matches_solo(
-            Shape::nchw(2, 4, 16, 16),
-            random_tensor(Shape::nchw(4, 4, 3, 3), 44),
-            Conv2dSpec::new(3, 2, 1),
-            800,
-        );
-    }
-
-    #[test]
-    fn packed_forward_honours_the_engine_pin() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap();
-        for engine in [ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
-            assert_packed_matches_solo(
-                Shape::nchw(2, 6, 12, 12),
-                random_tensor(Shape::nchw(6, 6, 1, 1), 45),
-                Conv2dSpec::new(1, 1, 0),
-                900,
-            );
-            // Boundary geometry stays solo-identical under both pins too.
-            assert_packed_matches_solo(
-                Shape::nchw(3, 2, 5, 5),
-                random_tensor(Shape::nchw(4, 2, 3, 3), 46),
-                Conv2dSpec::new(3, 1, 1),
-                1000,
-            );
-        }
-        set_conv_engine(ConvEngine::Auto);
-    }
-
-    #[test]
-    fn packed_forward_rejects_mismatched_input_shapes() {
-        let weight = random_tensor(Shape::nchw(4, 3, 3, 3), 47);
-        let a = random_tensor(Shape::nchw(2, 3, 8, 8), 48);
-        let b = random_tensor(Shape::nchw(1, 3, 8, 8), 49);
-        let err = conv2d_forward_packed_pooled(
-            &[&a, &b],
-            &weight,
-            Conv2dSpec::new(3, 1, 1),
-            &mut Workspace::default(),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("conv2d_forward_packed"), "{err}");
-        // Empty input list is a no-op, not an error.
-        assert!(conv2d_forward_packed_pooled(
-            &[],
-            &weight,
-            Conv2dSpec::new(3, 1, 1),
-            &mut Workspace::default()
-        )
-        .unwrap()
-        .is_empty());
     }
 
     /// Finite-difference check of the weight gradient.
@@ -1951,273 +1368,6 @@ mod tests {
             &input, &grad_out, 2, spec, &mut ws, &mut short, row_stride, offset,
         )
         .is_err());
-    }
-
-    /// Packed backward vs a loop of solo backward calls: bitwise, for both
-    /// the per-sample weight gradients and the input gradients, across pack
-    /// widths with interleaved shared/distinct inputs (odd members carry a
-    /// fresh allocation holding member 0's exact bytes, the way every pack
-    /// member's first edge consumes its own copy of the shared stem output).
-    fn assert_packed_backward_matches_solo(
-        shape: Shape,
-        c_out: usize,
-        spec: Conv2dSpec,
-        seed: u64,
-    ) {
-        let dims = shape.dims().to_vec();
-        let (n, c_in) = (dims[0], dims[1]);
-        let (oh, ow) = spec.output_hw(dims[2], dims[3]);
-        let per_sample = c_out * c_in * spec.kernel * spec.kernel;
-        let weight = random_tensor(Shape::nchw(c_out, c_in, spec.kernel, spec.kernel), seed);
-        for width in [1usize, 2, 8] {
-            let inputs: Vec<Tensor> = (0..width)
-                .map(|p| {
-                    if p % 2 == 1 {
-                        let lead = random_tensor(shape.clone(), seed + 1);
-                        Tensor::from_vec(shape.clone(), lead.data().to_vec()).unwrap()
-                    } else if p == 0 {
-                        random_tensor(shape.clone(), seed + 1)
-                    } else {
-                        random_tensor(shape.clone(), seed + 2 + p as u64)
-                    }
-                })
-                .collect();
-            let grad_outs: Vec<Tensor> = (0..width)
-                .map(|p| random_tensor(Shape::nchw(n, c_out, oh, ow), seed + 100 + p as u64))
-                .collect();
-            let input_refs: Vec<&Tensor> = inputs.iter().collect();
-            let grad_refs: Vec<&Tensor> = grad_outs.iter().collect();
-
-            // Per-member strides and offsets differ, as they do for real
-            // pack members with different parameter counts.
-            let strides: Vec<usize> = (0..width).map(|p| per_sample + 3 + p).collect();
-            let offsets: Vec<usize> = (0..width).map(|p| p % 3).collect();
-            let mut packed_bufs: Vec<Vec<f32>> = (0..width)
-                .map(|p| vec![f32::NAN; n * strides[p] + offsets[p]])
-                .collect();
-            {
-                let mut slots: Vec<PackedGradSlot<'_>> = packed_bufs
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(p, buf)| PackedGradSlot {
-                        out: buf.as_mut_slice(),
-                        row_stride: strides[p],
-                        offset: offsets[p],
-                    })
-                    .collect();
-                conv2d_backward_weight_per_sample_packed_into(
-                    &input_refs,
-                    &grad_refs,
-                    c_out,
-                    spec,
-                    &mut Workspace::default(),
-                    &mut slots,
-                )
-                .unwrap();
-            }
-            let mut ws = Workspace::default();
-            for p in 0..width {
-                let mut solo = vec![f32::NAN; n * strides[p] + offsets[p]];
-                conv2d_backward_weight_per_sample_into(
-                    &inputs[p],
-                    &grad_outs[p],
-                    c_out,
-                    spec,
-                    &mut ws,
-                    &mut solo,
-                    strides[p],
-                    offsets[p],
-                )
-                .unwrap();
-                // Bitwise over the whole buffer: written slices agree
-                // exactly and NaN canaries outside them are untouched.
-                assert!(
-                    packed_bufs[p]
-                        .iter()
-                        .zip(&solo)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "packed per-sample weight grads diverge from solo \
-                     (width {width}, member {p}, spec {spec:?})"
-                );
-            }
-
-            let packed_gi = conv2d_backward_input_packed_pooled(
-                &weight,
-                &grad_refs,
-                &shape,
-                spec,
-                &mut Workspace::default(),
-            )
-            .unwrap();
-            assert_eq!(packed_gi.len(), width);
-            for p in 0..width {
-                let solo_gi =
-                    conv2d_backward_input_pooled(&weight, &grad_outs[p], &shape, spec, &mut ws)
-                        .unwrap();
-                assert_eq!(packed_gi[p].shape(), solo_gi.shape());
-                assert!(
-                    packed_gi[p]
-                        .data()
-                        .iter()
-                        .zip(solo_gi.data())
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "packed input grads diverge from solo \
-                     (width {width}, member {p}, spec {spec:?})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn packed_backward_is_bitwise_identical_to_solo() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Pointwise merge (image doubles as the column matrix).
-        assert_packed_backward_matches_solo(
-            Shape::nchw(2, 6, 12, 12),
-            6,
-            Conv2dSpec::new(1, 1, 0),
-            500,
-        );
-        // General 3×3 GEMM path with a shared tall im2col panel.
-        assert_packed_backward_matches_solo(
-            Shape::nchw(2, 4, 10, 10),
-            4,
-            Conv2dSpec::new(3, 1, 1),
-            600,
-        );
-        // Below the direct-dispatch threshold: per-candidate direct loops.
-        assert_packed_backward_matches_solo(
-            Shape::nchw(1, 2, 4, 4),
-            2,
-            Conv2dSpec::new(3, 1, 1),
-            700,
-        );
-        // Strided non-pointwise geometry.
-        assert_packed_backward_matches_solo(
-            Shape::nchw(2, 4, 16, 16),
-            4,
-            Conv2dSpec::new(3, 2, 1),
-            800,
-        );
-    }
-
-    #[test]
-    fn packed_backward_honours_the_engine_pin() {
-        let _guard = ENGINE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        for engine in [ConvEngine::Direct, ConvEngine::Im2colGemm] {
-            set_conv_engine(engine);
-            assert_packed_backward_matches_solo(
-                Shape::nchw(2, 6, 12, 12),
-                6,
-                Conv2dSpec::new(1, 1, 0),
-                900,
-            );
-            assert_packed_backward_matches_solo(
-                Shape::nchw(3, 2, 5, 5),
-                4,
-                Conv2dSpec::new(3, 1, 1),
-                1000,
-            );
-        }
-        set_conv_engine(ConvEngine::Auto);
-    }
-
-    #[test]
-    fn packed_backward_rejects_bad_arguments() {
-        let spec = Conv2dSpec::new(3, 1, 1);
-        let a = random_tensor(Shape::nchw(2, 3, 8, 8), 70);
-        let b = random_tensor(Shape::nchw(1, 3, 8, 8), 71);
-        let ga = random_tensor(Shape::nchw(2, 4, 8, 8), 72);
-        let gb = random_tensor(Shape::nchw(1, 4, 8, 8), 73);
-        let per_sample = 4 * 3 * 3 * 3;
-        let mut bufs = [vec![0.0f32; 2 * per_sample], vec![0.0f32; 2 * per_sample]];
-        let [buf_a, buf_b] = &mut bufs;
-
-        // Mismatched member input shapes.
-        let mut slots = vec![
-            PackedGradSlot {
-                out: buf_a.as_mut_slice(),
-                row_stride: per_sample,
-                offset: 0,
-            },
-            PackedGradSlot {
-                out: buf_b.as_mut_slice(),
-                row_stride: per_sample,
-                offset: 0,
-            },
-        ];
-        let err = conv2d_backward_weight_per_sample_packed_into(
-            &[&a, &b],
-            &[&ga, &gb],
-            4,
-            spec,
-            &mut Workspace::default(),
-            &mut slots,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("per_sample_packed"), "{err}");
-
-        // Arity mismatch between inputs and slots.
-        let [buf_a, _] = &mut bufs;
-        let mut one_slot = vec![PackedGradSlot {
-            out: buf_a.as_mut_slice(),
-            row_stride: per_sample,
-            offset: 0,
-        }];
-        assert!(conv2d_backward_weight_per_sample_packed_into(
-            &[&a, &a],
-            &[&ga, &ga],
-            4,
-            spec,
-            &mut Workspace::default(),
-            &mut one_slot,
-        )
-        .is_err());
-
-        // A too-short member buffer is rejected, not sliced out of bounds.
-        let mut short = [vec![0.0f32; 2 * per_sample], vec![0.0f32; per_sample - 1]];
-        let [long_buf, short_buf] = &mut short;
-        let mut slots = vec![
-            PackedGradSlot {
-                out: long_buf.as_mut_slice(),
-                row_stride: per_sample,
-                offset: 0,
-            },
-            PackedGradSlot {
-                out: short_buf.as_mut_slice(),
-                row_stride: per_sample,
-                offset: 0,
-            },
-        ];
-        assert!(conv2d_backward_weight_per_sample_packed_into(
-            &[&a, &a],
-            &[&ga, &ga],
-            4,
-            spec,
-            &mut Workspace::default(),
-            &mut slots,
-        )
-        .is_err());
-
-        // Empty packs are no-ops, not errors.
-        assert!(conv2d_backward_weight_per_sample_packed_into(
-            &[],
-            &[],
-            4,
-            spec,
-            &mut Workspace::default(),
-            &mut [],
-        )
-        .is_ok());
-        assert!(conv2d_backward_input_packed_pooled(
-            &random_tensor(Shape::nchw(4, 3, 3, 3), 74),
-            &[],
-            &Shape::nchw(2, 3, 8, 8),
-            spec,
-            &mut Workspace::default(),
-        )
-        .unwrap()
-        .is_empty());
     }
 
     proptest! {

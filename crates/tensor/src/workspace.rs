@@ -211,43 +211,18 @@ impl Workspace {
         self.watermark = 0;
     }
 
-    /// Releases buffers, largest first, until the total footprint fits under
-    /// `limit_bytes`.
+    /// Frees every buffer if the total footprint exceeds `limit_bytes`.
     ///
     /// Call between heterogeneous work items (e.g. candidates of very
     /// different sizes) to stop one huge shape from pinning peak memory for
-    /// the rest of the run. A single outsized request — such as the tall
-    /// packed column panel of a cross-candidate mega-batch — releases only
-    /// the buffers it bloated; ordinary-sized buffers the steady-state
-    /// workload keeps warm stay in the arena instead of being thrown away
-    /// wholesale. Returns whether anything was released.
+    /// the rest of the run. Returns whether a reset happened.
     pub fn reset_if_larger_than(&mut self, limit_bytes: usize) -> bool {
-        if self.capacity_bytes() <= limit_bytes {
-            return false;
+        if self.capacity_bytes() > limit_bytes {
+            self.clear();
+            true
+        } else {
+            false
         }
-        while self.capacity_bytes() > limit_bytes {
-            let col_cap = self.col.capacity();
-            let aux_cap = self.aux.capacity();
-            let (pool_idx, pool_cap) = self
-                .pool
-                .iter()
-                .enumerate()
-                .map(|(i, b)| (i, b.capacity()))
-                .max_by_key(|&(_, cap)| cap)
-                .unwrap_or((0, 0));
-            if pool_cap >= col_cap && pool_cap >= aux_cap {
-                if pool_cap == 0 {
-                    break;
-                }
-                self.pool.swap_remove(pool_idx);
-            } else if col_cap >= aux_cap {
-                self.col = Vec::new();
-            } else {
-                self.aux = Vec::new();
-            }
-        }
-        self.watermark = 0;
-        true
     }
 
     /// Shrinks buffers that are larger than the observed since-last-shrink
@@ -373,88 +348,6 @@ mod tests {
         assert_eq!(ws.capacity_bytes(), 0);
         // The workspace stays fully usable afterwards.
         assert_eq!(ws.col_buffer(64).len(), 64);
-    }
-
-    #[test]
-    fn reset_after_tall_packed_panel_keeps_steady_state_buffers() {
-        let mut ws = Workspace::new();
-        // Steady-state candidate evaluation: modest col/aux buffers plus a
-        // couple of pooled feature maps.
-        ws.col_buffer(4 * 1024);
-        ws.aux_buffer(2 * 1024);
-        let a = ws.take_zeroed(8 * 1024);
-        let b = ws.take_zeroed(8 * 1024);
-        let pooled_ptr = b.as_ptr();
-        ws.recycle(a);
-        ws.recycle(b);
-        let steady = ws.capacity_bytes();
-        // One wide mega-batch bucket blows the column panel up ~64×.
-        ws.col_buffer(256 * 1024);
-        assert!(ws.capacity_bytes() > steady);
-        // The policy releases the tall panel but must NOT throw away the
-        // steady-state buffers with it: the pooled feature maps survive.
-        assert!(ws.reset_if_larger_than(steady));
-        assert!(
-            ws.capacity_bytes() <= steady,
-            "tall panel still pinned: {} > {steady}",
-            ws.capacity_bytes()
-        );
-        assert!(
-            ws.capacity_bytes() >= 2 * 8 * 1024 * BYTES,
-            "steady-state pool discarded: {}",
-            ws.capacity_bytes()
-        );
-        let c = ws.take_zeroed(8 * 1024);
-        assert_eq!(c.as_ptr(), pooled_ptr, "warm pooled buffer must survive");
-        ws.recycle(c);
-        // Under the limit, nothing happens.
-        assert!(!ws.reset_if_larger_than(steady));
-    }
-
-    #[test]
-    fn reset_after_tall_packed_backward_panel_keeps_steady_state_buffers() {
-        let mut ws = Workspace::new();
-        // Steady-state solo backward: a per-sample col lowering plus
-        // transpose staging, and pooled `[N, P]` gradient matrices cycling
-        // through the pool.
-        ws.col_and_aux(4 * 1024, 2 * 1024);
-        let a = ws.take_zeroed(16 * 1024);
-        let b = ws.take_zeroed(16 * 1024);
-        let pooled_ptr = b.as_ptr();
-        ws.recycle(a);
-        ws.recycle(b);
-        let steady = ws.capacity_bytes();
-        let steady_watermark = ws.watermark_bytes();
-        assert_eq!(steady_watermark, 16 * 1024 * BYTES);
-        // One packed backward sweep lowers the full batch into a tall
-        // shared column panel: col grows ~N× while aux stays solo-sized.
-        ws.col_and_aux(512 * 1024, 2 * 1024);
-        assert!(ws.capacity_bytes() > steady);
-        assert!(
-            ws.watermark_bytes() >= (512 * 1024 + 2 * 1024) * BYTES,
-            "watermark missed the packed backward panel: {}",
-            ws.watermark_bytes()
-        );
-        // Selective trim: the tall backward panel goes, the steady-state
-        // staging and the warm pooled gradient matrices stay.
-        assert!(ws.reset_if_larger_than(steady));
-        assert!(
-            ws.capacity_bytes() <= steady,
-            "tall backward panel still pinned: {} > {steady}",
-            ws.capacity_bytes()
-        );
-        assert!(
-            ws.capacity_bytes() >= 2 * 16 * 1024 * BYTES,
-            "steady-state pool discarded: {}",
-            ws.capacity_bytes()
-        );
-        let c = ws.take_zeroed(16 * 1024);
-        assert_eq!(c.as_ptr(), pooled_ptr, "warm pooled buffer must survive");
-        ws.recycle(c);
-        // The watermark restarts with the trim: the next window reflects
-        // the post-trim workload, not the packed sweep's peak.
-        assert_eq!(ws.watermark_bytes(), 16 * 1024 * BYTES);
-        assert!(!ws.reset_if_larger_than(steady));
     }
 
     #[test]

@@ -228,56 +228,6 @@ fn every_backend_matches_the_oracle_on_representative_geometries() {
 }
 
 #[test]
-fn every_backend_packed_forward_is_bitwise_its_own_solo_path() {
-    // The mega-batching contract: for EVERY backend, the packed entry point
-    // is bit-for-bit the per-candidate loop over that backend's own conv2d —
-    // the default implementation by construction, and the blocked_gemm
-    // override by its schedule guard.
-    for backend in all_backends() {
-        for (n, c_in, c_out, h, spec, seed) in [
-            // Wide merged schedule (pointwise, ohow 256).
-            (
-                2usize,
-                8usize,
-                8usize,
-                16usize,
-                Conv2dSpec::new(1, 1, 0),
-                60u64,
-            ),
-            // Deep merged schedule (ckk 72, ohow 25).
-            (2, 8, 8, 5, Conv2dSpec::new(3, 1, 1), 61),
-            // Schedule boundary: must fall back per candidate.
-            (3, 2, 4, 5, Conv2dSpec::new(3, 1, 1), 62),
-            // Strided downsampling geometry.
-            (2, 4, 6, 12, Conv2dSpec::new(3, 2, 1), 63),
-        ] {
-            let weight = random_tensor(Shape::nchw(c_out, c_in, spec.kernel, spec.kernel), seed);
-            for width in [1usize, 2, 8] {
-                let inputs: Vec<Tensor> = (0..width)
-                    .map(|i| random_tensor(Shape::nchw(n, c_in, h, h), seed + 10 + i as u64))
-                    .collect();
-                let refs: Vec<&Tensor> = inputs.iter().collect();
-                let mut ws = Workspace::default();
-                let packed = backend
-                    .conv2d_forward_packed(&refs, &weight, spec, &mut ws)
-                    .unwrap();
-                for (input, got) in inputs.iter().zip(&packed) {
-                    let want = backend
-                        .conv2d(input, &weight, spec, &mut Workspace::default())
-                        .unwrap();
-                    assert_eq!(
-                        got.data(),
-                        want.data(),
-                        "backend {} width {width} packed forward must be bitwise solo",
-                        backend.id()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn paper_default_backend_is_bitwise_identical_to_the_free_functions() {
     // The pin behind every store namespace decision: the default backend IS
     // the dispatching free-function path, byte for byte.

@@ -200,7 +200,6 @@ impl SearchStrategy for SimulatedAnnealing {
                 simulated_gpu_hours: 0.0,
                 evaluations: ctx.evaluation_count() - evaluations_before,
                 cache: ctx.cache_stats().since(&cache_before),
-                ..Default::default()
             },
             algorithm: self.name().to_string(),
             history,

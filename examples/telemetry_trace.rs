@@ -68,10 +68,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     println!(
-        "sweep identity: {:#018x} ({} GEMM calls, {} pack dispatches)",
+        "sweep identity: {:#018x} ({} GEMM calls)",
         report.identity_fingerprint(),
         telemetry.counter("tensor.gemm.calls"),
-        telemetry.counter("search.pack.dispatches"),
     );
 
     // ---- 2. Deterministic event recording ------------------------------

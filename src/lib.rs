@@ -97,56 +97,18 @@
 //! | "future GPU / NPU / fixed-point backend" via new `ConvEngine` variants | implement [`tensor::KernelBackend`] out of tree; no enum to extend |
 //! | implicit assumption that all engines share one store namespace | declare numerics via `bitwise_paper_identical()`; divergent backends are namespace-isolated automatically |
 //!
-//! # Cross-candidate mega-batching (PR 6 forward, PR 10 backward + slates)
+//! # One evaluation path
 //!
-//! Strategies no longer evaluate candidates one at a time: every shipped
-//! [`core::SearchStrategy`] hands its whole candidate slate to a
-//! [`core::BatchedEvaluator`], whose [`core::SlateScheduler`] plans it
-//! into packs of up to [`core::SearchContext::pack_width`] cells (default
-//! [`core::DEFAULT_PACK_WIDTH`] = 8, tunable per session via
-//! `SearchSession::builder().pack_width(..)`). Planning looks at the whole
-//! slate, not arrival order: candidates dedup by canonical digest
-//! (duplicates ride in their owner's pack as cache shares), the distinct
-//! ones bucket by geometry signature, and each bucket emits maximal-fill
-//! packs with remainders coalesced — exactly `ceil(owners / width)`
-//! dispatches, with results reassembled in slate order. Each pack then
-//! runs as one fused proxy sweep:
-//!
-//! * the probe input batch is built once and shared by the whole pack;
-//! * the shared stem runs **one** forward for all pack members;
-//! * per-edge convolutions are bucketed by kernel geometry and their
-//!   im2col panels fused into one wide GEMM per layer
-//!   ([`tensor::KernelBackend::conv2d_forward_packed`]);
-//! * the per-sample gradient sweep runs the same lockstep *backward*:
-//!   per (cell, edge, kernel-size) buckets dispatch through
-//!   [`tensor::KernelBackend::conv2d_backward_weight_per_sample_packed`]
-//!   and [`tensor::KernelBackend::conv2d_backward_input_packed`], and
-//!   members with the same topology (hence, at one seed, bitwise-equal
-//!   weights and traces) are swept once with duplicates' gradient
-//!   matrices copied from the representative.
-//!
-//! Why this stays **bitwise identical** to one-at-a-time evaluation: the
-//! packed kernels iterate the exact solo per-candidate schedule — same
-//! direct-vs-GEMM dispatch decision, same GEMM shapes, same per-member
-//! accumulation order — and share work only between bitwise-equal
-//! operands (equal input bytes are lowered to one im2col panel; equal
-//! bytes in, equal bytes out). The blocked-GEMM backend overrides the
-//! packed entry points; every other backend inherits a per-member loop
-//! with identical numerics, and the NTK evaluator falls back to the solo
-//! path entirely when the gradient formulation is not the batched `[n,P]`
-//! one or a kernel-graph compiler is installed (compiled plans fuse
-//! within one candidate, not across). The cross-product is pinned in CI
-//! (`crates/core/tests/strategy_conformance.rs` over strategies × widths
-//! × threads; `tests/backend_conformance.rs` over gradient backends ×
-//! widths × threads), and the store namespace did not move.
-//!
-//! Measured effect (1-core container, width 8, best-of-3): **1.57×** on
-//! the sparse bench cell from forward packing alone (PR 6), and a further
-//! **1.51×** end-to-end from the packed backward over forward-only
-//! packing on the same cell (PR 10, `ntk_engine.json`). Pack density is
-//! observable as [`core::BatchStats`] on every [`core::SearchCost`],
-//! now split into forward/backward kernel fill; the `candidate_throughput`
-//! and `ntk_engine` benches gate both halves in CI smoke mode.
+//! Every candidate is evaluated solo: one network, one probe batch, one
+//! proxy sweep per canonical cell. Strategies hand a whole decision step to
+//! [`core::SearchContext::evaluate_all`], which deduplicates the slate by
+//! canonical digest, evaluates each distinct canonical class once on the
+//! rayon pool, and resolves exact duplicates and isomorphic twins
+//! afterwards in slate order. The context's caches compute each entry at
+//! most once, so results *and* the [`core::EvalCacheStats`] counters are
+//! identical at every thread count. An earlier cross-candidate packing of
+//! GEMM dispatches was bitwise identical to this path but slower end to end
+//! on the paper search, and was removed.
 //!
 //! # Observability (PR 7)
 //!
@@ -162,7 +124,7 @@
 //! * **A metrics registry** — named atomic counters and gauges behind the
 //!   [`telemetry::TelemetrySink`] trait: kernel dispatch counts per backend
 //!   (`tensor.backend.blocked_gemm.*`), im2col bytes, workspace high-water,
-//!   store hits/misses/evictions, pack fill counters (`search.pack.*`).
+//!   store hits/misses/evictions.
 //!   The default [`telemetry::NullSink`] keeps the disabled fast path — one
 //!   relaxed atomic load per probe.
 //! * **A deterministic event recorder** — [`core::EventRecorder`] is a
@@ -199,7 +161,7 @@
 //! ```
 //!
 //! Telemetry is **provably inert**: the `tests/telemetry_inertness.rs`
-//! suite pins the paper-identity fingerprints and all cache/batch counters
+//! suite pins the paper-identity fingerprints and all cache counters
 //! bitwise-identical with the sink off, on and recording, at one and many
 //! rayon threads. `examples/telemetry_trace.rs` runs a traced paper sweep
 //! end to end and validates a recorded event stream replays clean.

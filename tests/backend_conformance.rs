@@ -286,111 +286,6 @@ fn divergent_backends_get_their_own_store_namespace() {
     assert!(eval.metrics.get("trainability").unwrap().is_finite());
 }
 
-/// Cross-candidate mega-batching at the proxy level: for every
-/// bitwise-paper-identical backend, packed evaluation of the conformance
-/// cell set is bitwise identical to one-at-a-time evaluation, at pack
-/// widths 1/2/8 and on a 1-thread and an N-thread rayon pool alike.
-#[test]
-fn packed_proxy_evaluation_is_bitwise_identical_on_every_bitwise_backend() {
-    use micronas_suite::proxies::ZeroCostEvaluator;
-    use rayon::ThreadPoolBuilder;
-    let cells = conformance_cells();
-    for backend in all_backends() {
-        if !backend.bitwise_paper_identical() || !backend.supports_gradients() {
-            continue;
-        }
-        let evaluator = ZeroCostEvaluator::with_backend(
-            NtkConfig::fast(),
-            LinearRegionConfig::fast(),
-            backend.clone(),
-        );
-        let solo: Vec<_> = cells
-            .iter()
-            .map(|&cell| evaluator.evaluate(cell, DatasetKind::Cifar10, 7).unwrap())
-            .collect();
-        for width in [1usize, 2, 8] {
-            for threads in [1usize, 4] {
-                let pool = ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let packed: Vec<_> = pool.install(|| {
-                    cells
-                        .chunks(width)
-                        .flat_map(|pack| {
-                            evaluator
-                                .evaluate_pack(pack, DatasetKind::Cifar10, 7)
-                                .unwrap()
-                        })
-                        .collect()
-                });
-                assert_eq!(
-                    solo,
-                    packed,
-                    "backend {} width {width} threads {threads}",
-                    backend.id()
-                );
-            }
-        }
-    }
-}
-
-/// The packed per-sample gradient sweep is bitwise-invisible on **every**
-/// gradient-capable backend — including numerically divergent ones, where
-/// the contract is identity to that backend's own solo sweep, not to the
-/// paper numerics. NTK condition numbers with the packed backward enabled
-/// (default) must equal the forward-only-packed sweep at pack widths 1/2/8
-/// and on a 1-thread and an N-thread rayon pool alike.
-#[test]
-fn packed_backward_sweep_is_bitwise_identical_on_every_gradient_backend() {
-    use rayon::ThreadPoolBuilder;
-    let cells = conformance_cells();
-    for backend in all_backends() {
-        if !backend.supports_gradients() {
-            continue;
-        }
-        let packed_backward = NtkEvaluator::new(NtkConfig::fast()).with_backend(backend.clone());
-        let solo_backward = NtkEvaluator::new(NtkConfig::fast())
-            .with_backend(backend.clone())
-            .with_packed_backward(false);
-        for width in [1usize, 2, 8] {
-            for threads in [1usize, 4] {
-                let pool = ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let (got, want) = pool.install(|| {
-                    let mut ws = Workspace::default();
-                    let got: Vec<_> = cells
-                        .chunks(width)
-                        .flat_map(|pack| {
-                            packed_backward
-                                .evaluate_pack_in(pack, DatasetKind::Cifar10, 7, &mut ws)
-                                .unwrap()
-                        })
-                        .collect();
-                    let want: Vec<_> = cells
-                        .chunks(width)
-                        .flat_map(|pack| {
-                            solo_backward
-                                .evaluate_pack_in(pack, DatasetKind::Cifar10, 7, &mut ws)
-                                .unwrap()
-                        })
-                        .collect();
-                    (got, want)
-                });
-                assert_eq!(
-                    got,
-                    want,
-                    "backend {} width {width} threads {threads}: packed backward \
-                     diverged from the solo per-sample sweep",
-                    backend.id()
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn simd_backend_is_bitwise_deterministic_across_thread_counts() {
     use rayon::ThreadPoolBuilder;

@@ -4,14 +4,16 @@
 //! [`TelemetrySink`] — the no-op `NullSink`, a full `Collector` recording,
 //! or a counting probe — changes **nothing** about what the pipeline
 //! computes: the paper-identity fingerprints pinned by
-//! `tests/paper_identity.rs` stay bitwise identical, cache/batch counters
-//! match the untraced runs exactly, and two same-seed searches record
+//! `tests/paper_identity.rs` stay bitwise identical, cache counters match
+//! the untraced runs exactly, and two same-seed searches record
 //! byte-identical deterministic event streams. Each property is checked at
 //! one and several rayon threads.
 //!
 //! Telemetry installation is process-global, so every test that installs a
 //! sink serializes on one mutex — tests in this binary otherwise run
-//! concurrently and would observe each other's sinks.
+//! concurrently and would observe each other's sinks. A failing test
+//! poisons that mutex; the others recover the guard, so one failure reports
+//! as one.
 
 use micronas_suite::core::experiments::{run_paper_sweep, run_paper_sweep_traced, SweepScale};
 use micronas_suite::core::{
@@ -19,7 +21,7 @@ use micronas_suite::core::{
 };
 use micronas_suite::telemetry::{Collector, CountingSink, NullSink, TelemetrySink};
 use rayon::ThreadPoolBuilder;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// `SweepReport::identity_fingerprint` of `run_paper_sweep(tiny_test,
 /// tiny)` — the same pin as `tests/paper_identity.rs`.
@@ -27,6 +29,12 @@ const TINY_FINGERPRINT: u64 = 0xa18a_5c02_cac6_7ecd;
 
 /// Serializes the tests that install a process-global telemetry sink.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
+
+fn telemetry_lock() -> MutexGuard<'static, ()> {
+    TELEMETRY_LOCK
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
 
 fn tiny_fingerprint() -> u64 {
     run_paper_sweep(&MicroNasConfig::tiny_test(), &SweepScale::tiny(), None)
@@ -36,7 +44,7 @@ fn tiny_fingerprint() -> u64 {
 
 #[test]
 fn sweep_fingerprint_is_pinned_under_every_sink_and_thread_count() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = telemetry_lock();
     let sinks: Vec<(&str, Arc<dyn TelemetrySink>)> = vec![
         ("NullSink", Arc::new(NullSink)),
         ("Collector", Arc::new(Collector::new())),
@@ -66,7 +74,7 @@ fn sweep_fingerprint_is_pinned_under_every_sink_and_thread_count() {
 /// compiled execution path.
 #[test]
 fn sweep_fingerprint_is_pinned_with_the_graph_pipeline_active() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = telemetry_lock();
     let config = MicroNasConfig::tiny_test()
         .with_compiler(Some(micronas_suite::graph::CompilerKind::Interpreter));
     let sinks: Vec<(&str, Arc<dyn TelemetrySink>)> = vec![
@@ -98,7 +106,7 @@ fn sweep_fingerprint_is_pinned_with_the_graph_pipeline_active() {
 
 #[test]
 fn counting_sink_proves_probes_fire_while_results_stay_pinned() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = telemetry_lock();
     let sink = Arc::new(CountingSink::default());
     let scope = micronas_suite::telemetry::install_scoped(sink.clone());
     let fingerprint = tiny_fingerprint();
@@ -112,48 +120,46 @@ fn counting_sink_proves_probes_fire_while_results_stay_pinned() {
 }
 
 #[test]
-fn cache_and_batch_stats_match_untraced_runs_sequential_and_packed() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
-    let run = |width: usize, traced: bool| {
-        let mut builder = SearchSession::builder()
-            .config(MicroNasConfig::tiny_test())
-            .pack_width(width);
+fn cache_stats_match_untraced_runs_at_every_thread_count() {
+    let _guard = telemetry_lock();
+    let run = |threads: usize, traced: bool| {
+        let mut builder = SearchSession::builder().config(MicroNasConfig::tiny_test());
         if traced {
             builder = builder
                 .telemetry(Arc::new(Collector::new()))
                 .observer(Arc::new(EventRecorder::new()));
         }
         let session = builder.build().unwrap();
-        let outcome = session.run_micronas().unwrap();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let outcome = pool.install(|| session.run_micronas().unwrap());
         (
             outcome.history.clone(),
             outcome.best.index(),
             outcome.cost.cache,
-            outcome.cost.batch,
         )
     };
-    for width in [1usize, 8] {
-        let plain = run(width, false);
-        let traced = run(width, true);
+    let reference = run(1, false);
+    for threads in [1usize, 2, 4] {
+        let plain = run(threads, false);
+        let traced = run(threads, true);
         assert_eq!(
             plain, traced,
-            "telemetry perturbed the width-{width} search (history/best/cache/batch)"
+            "telemetry perturbed the {threads}-thread search (history/best/cache)"
+        );
+        assert_eq!(
+            reference, plain,
+            "history, best and cache stats must not depend on the thread count \
+             ({threads} threads)"
         );
     }
-    // Packed and sequential runs agree on cache traffic (packing is pure
-    // scheduling) even while a collector and a recorder are attached.
-    let sequential = run(1, true);
-    let packed = run(8, true);
-    assert_eq!(sequential.0, packed.0, "history must not depend on packing");
-    assert_eq!(
-        sequential.2, packed.2,
-        "cache stats must not depend on packing"
-    );
 }
 
 #[test]
 fn same_seed_searches_record_byte_identical_event_streams() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = telemetry_lock();
     let record = |threads: usize| {
         let recorder = Arc::new(EventRecorder::new());
         let session = SearchSession::builder()
@@ -212,7 +218,7 @@ fn same_seed_searches_record_byte_identical_event_streams() {
 
 #[test]
 fn traced_sweep_reports_nonzero_spans_for_every_layer() {
-    let _guard = TELEMETRY_LOCK.lock().unwrap();
+    let _guard = telemetry_lock();
     let config = MicroNasConfig::tiny_test();
 
     // A persistent store so the store layer's log-append path runs too.
@@ -245,7 +251,7 @@ fn traced_sweep_reports_nonzero_spans_for_every_layer() {
         );
     }
     assert!(telemetry.counter("tensor.gemm.calls") > 0);
-    assert!(telemetry.counter("search.pack.dispatches") > 0);
+    assert!(telemetry.counter("tensor.im2col.bytes") > 0);
     assert!(
         telemetry.counter("store.hits") + telemetry.counter("store.misses") > 0,
         "store counters silent"
