@@ -1,274 +1,40 @@
-//! Cross-candidate mega-batching: the [`BatchedEvaluator`] owns the
-//! candidate evaluation queue of every search strategy.
-//!
-//! Search strategies enumerate whole slates of candidates per decision step
-//! (the pruning search scores every undecided `(edge, op)` pair, random
-//! search scores its entire sample budget). Evaluating those candidates one
-//! at a time leaves the GEMM kernels starved: at MCU-scale probe resolutions
-//! a single candidate's im2col panel is far below the blocked kernel's
-//! saturation point. The batched evaluator therefore plans the **whole
-//! slate** with a [`SlateScheduler`] before anything runs: candidates are
-//! deduplicated by canonical digest, the distinct survivors are bucketed by
-//! geometry signature (which edges carry a 1×1 or a 3×3 convolution) across
-//! the entire slate instead of by arrival stride, and maximal-fill packs of
-//! [`SearchContext::pack_width`] are emitted in a deterministic order. Each
-//! pack then runs through [`SearchContext::evaluate_pack`], where
-//! same-geometry convolutions of different candidates fuse into one grouped
-//! GEMM per layer in both the forward probe and the packed per-sample
-//! gradient sweep — so the denser the geometry buckets, the fewer kernel
-//! dispatches the slate costs.
-//!
-//! Packing is a pure scheduling change: results are bitwise identical to
-//! one-at-a-time evaluation at every pack width and thread count, packs
-//! complete out of order on the rayon pool and are re-assembled in slate
-//! order, and the context's cache/store bookkeeping advances exactly as the
-//! sequential path would. Duplicates travel in the same pack as their first
-//! occurrence, so their cache accounting stays deterministic even while
-//! packs race on the pool.
+//! Slate planning for [`crate::SearchContext::evaluate_all`]: a candidate
+//! slate is grouped by canonical digest so each canonical class is evaluated
+//! once, by its first member in slate order.
 
-use crate::{CandidateEvaluation, Result, SearchContext};
-use micronas_searchspace::{CellTopology, Operation};
-use rayon::prelude::*;
+use micronas_searchspace::CellTopology;
+use micronas_store::ArchDigest;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Geometry-bucketed, cross-candidate batched front-end to
-/// [`SearchContext::evaluate`].
-///
-/// Borrowing the context keeps the evaluator trivially shareable across the
-/// rayon scoring workers; it holds no mutable state of its own — all
-/// caching, counting and pack-density accounting lives in the context, so
-/// evaluations issued through this type and through
-/// [`SearchContext::evaluate`] share one coherent view.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchedEvaluator<'a> {
-    ctx: &'a SearchContext,
-    scheduler: SlateScheduler,
-}
-
-impl<'a> BatchedEvaluator<'a> {
-    /// Wraps a context.
-    pub fn new(ctx: &'a SearchContext) -> Self {
-        Self {
-            ctx,
-            scheduler: SlateScheduler::new(ctx.pack_width()),
-        }
-    }
-
-    /// The wrapped context.
-    pub fn context(&self) -> &'a SearchContext {
-        self.ctx
-    }
-
-    /// The slate scheduler in force (width = the context's pack width).
-    pub fn scheduler(&self) -> &SlateScheduler {
-        &self.scheduler
-    }
-
-    /// Evaluates a whole candidate slate: plans it with the
-    /// [`SlateScheduler`] (canonical-digest dedup, geometry-signature
-    /// buckets, maximal-fill packs), runs the packs concurrently on the
-    /// rayon pool and returns the evaluations in slate order.
-    ///
-    /// Element `i` is the same shared handle [`SearchContext::evaluate`]
-    /// would return for `cells[i]` — bitwise identical for every pack width
-    /// and thread count. Width 1 disables cross-candidate packing entirely:
-    /// the slate evaluates candidate by candidate (still concurrently), and
-    /// the context's pack counters stay untouched.
-    ///
-    /// # Errors
-    ///
-    /// Propagates proxy evaluation failures (the first failing pack in
-    /// schedule order wins).
-    pub fn evaluate_all(&self, cells: &[CellTopology]) -> Result<Vec<Arc<CandidateEvaluation>>> {
-        if self.scheduler.width() <= 1 {
-            return cells
-                .par_iter()
-                .map(|&cell| self.ctx.evaluate(cell))
-                .collect();
-        }
-        let plan = self.scheduler.plan(cells);
-        let results: Vec<Result<Vec<Arc<CandidateEvaluation>>>> = plan
-            .packs()
-            .par_iter()
-            .map(|pack| {
-                let members: Vec<CellTopology> = pack.iter().map(|&i| cells[i]).collect();
-                self.ctx.evaluate_pack(&members)
-            })
-            .collect();
-        let mut out: Vec<Option<Arc<CandidateEvaluation>>> = vec![None; cells.len()];
-        for (pack, result) in plan.packs().iter().zip(results) {
-            for (&i, eval) in pack.iter().zip(result?) {
-                out[i] = Some(eval);
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|slot| slot.expect("the slate plan covers every slate index exactly once"))
-            .collect())
-    }
-
-    /// Checks hardware feasibility of a whole candidate slate on the rayon
-    /// pool, returning the verdicts in slate order.
-    ///
-    /// Feasibility needs only the analytic hardware indicators — no proxy
-    /// kernels run, so there is nothing to pack; this entry exists so every
-    /// strategy's bulk candidate traffic flows through one front-end.
-    ///
-    /// # Errors
-    ///
-    /// Propagates store I/O failures (the first failing candidate in slate
-    /// order wins).
-    pub fn feasibility_all(&self, cells: &[CellTopology]) -> Result<Vec<bool>> {
-        cells
-            .par_iter()
-            .map(|&cell| self.ctx.is_feasible(cell))
-            .collect()
-    }
-}
-
-/// Plans a candidate slate into geometry-bucketed, maximal-fill packs.
-///
-/// The fixed-stride slicing this replaces (`cells.chunks(width)`) packed
-/// candidates by arrival order, so one mixed slate produced packs whose
-/// members rarely shared convolution geometry — each pack then split into
-/// many half-empty per-edge kernel buckets. The scheduler looks at the whole
-/// slate instead:
-///
-/// 1. **Dedup** — candidates are keyed by the digest of their canonical
-///    form; only the first occurrence of each digest (its *owner*) takes a
-///    pack slot, and later duplicates ride in the owner's pack where
-///    [`SearchContext::evaluate_pack`] resolves them as cache shares.
-/// 2. **Bucket** — owners group by geometry signature (the per-edge
-///    conv-kernel classes of the canonical form), in first-appearance
-///    order.
-/// 3. **Emit** — each bucket yields its full packs, then the remainders
-///    coalesce across buckets (in bucket order) into the final packs, so
-///    the pack count is exactly `ceil(owners / width)` — the minimum any
-///    width-bounded schedule can achieve, hence fill never falls below the
-///    fixed-stride slicing.
-///
-/// Planning is pure and deterministic: no hash-map iteration order leaks
-/// into the plan, so the same slate always yields the same packs.
-#[derive(Debug, Clone, Copy)]
-pub struct SlateScheduler {
-    width: usize,
-}
-
-/// The deterministic pack schedule of one slate (see
-/// [`SlateScheduler::plan`]): a partition of the slate indices into packs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlatePlan {
-    packs: Vec<Vec<usize>>,
-    owners: usize,
+/// A candidate slate grouped into canonical classes.
+pub(crate) struct SlatePlan {
+    /// The first member of each canonical class, in slate order.
+    pub(crate) representatives: Vec<CellTopology>,
+    /// The class of each slate member: an index into `representatives`.
+    pub(crate) classes: Vec<usize>,
 }
 
 impl SlatePlan {
-    /// The scheduled packs: each inner slice holds slate indices, sorted
-    /// ascending (so a duplicate always follows its owner), and every slate
-    /// index appears in exactly one pack.
-    pub fn packs(&self) -> &[Vec<usize>] {
-        &self.packs
-    }
-
-    /// Number of distinct candidates (by canonical digest) in the slate —
-    /// the candidates that actually occupy pack slots.
-    pub fn owner_count(&self) -> usize {
-        self.owners
-    }
-}
-
-impl SlateScheduler {
-    /// A scheduler emitting packs of at most `width` distinct candidates
-    /// (clamped to at least 1).
-    pub fn new(width: usize) -> Self {
+    /// Groups `cells` by the digest of their canonical form. Exact
+    /// duplicates and isomorphic twins share a class.
+    pub(crate) fn of(cells: &[CellTopology]) -> Self {
+        let mut class_of_digest: HashMap<u64, usize> = HashMap::new();
+        let mut representatives: Vec<CellTopology> = Vec::new();
+        let classes = cells
+            .iter()
+            .map(|cell| {
+                let digest = ArchDigest::of(&cell.canonical_form()).value();
+                *class_of_digest.entry(digest).or_insert_with(|| {
+                    representatives.push(*cell);
+                    representatives.len() - 1
+                })
+            })
+            .collect();
         Self {
-            width: width.max(1),
+            representatives,
+            classes,
         }
     }
-
-    /// The maximum number of distinct candidates per pack.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Plans `cells` into packs: canonical-digest dedup, geometry-signature
-    /// buckets over the whole slate, maximal-fill packs in deterministic
-    /// order (full packs per bucket first, remainders coalesced in bucket
-    /// order), duplicates attached to their owner's pack.
-    pub fn plan(&self, cells: &[CellTopology]) -> SlatePlan {
-        // Owner slate index per canonical digest, and the geometry buckets
-        // of the owners in first-appearance order. Maps are lookup-only —
-        // never iterated — so the plan is independent of hash order.
-        let mut owner_of_digest: HashMap<u64, usize> = HashMap::new();
-        let mut duplicates: Vec<(usize, u64)> = Vec::new();
-        let mut bucket_of_sig: HashMap<u64, usize> = HashMap::new();
-        let mut buckets: Vec<Vec<usize>> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            let canonical = cell.canonical_form();
-            let digest = micronas_store::ArchDigest::of(&canonical).value();
-            if owner_of_digest.contains_key(&digest) {
-                duplicates.push((i, digest));
-                continue;
-            }
-            owner_of_digest.insert(digest, i);
-            let sig = geometry_signature(&canonical);
-            let bucket = *bucket_of_sig.entry(sig).or_insert_with(|| {
-                buckets.push(Vec::new());
-                buckets.len() - 1
-            });
-            buckets[bucket].push(i);
-        }
-        let owners = cells.len() - duplicates.len();
-
-        // Maximal fill: full packs bucket by bucket, then one coalescing
-        // sweep over the remainders. Exactly ceil(owners / width) packs.
-        let mut packs: Vec<Vec<usize>> = Vec::new();
-        let mut remainder: Vec<usize> = Vec::new();
-        for bucket in &buckets {
-            let full = bucket.len() / self.width * self.width;
-            for pack in bucket[..full].chunks(self.width) {
-                packs.push(pack.to_vec());
-            }
-            remainder.extend_from_slice(&bucket[full..]);
-        }
-        for pack in remainder.chunks(self.width) {
-            packs.push(pack.to_vec());
-        }
-
-        // Duplicates join the pack of their owner: evaluate_pack resolves
-        // them as in-pack cache shares, which keeps the cache counters
-        // deterministic however the packs interleave on the pool.
-        let mut pack_of_owner: HashMap<usize, usize> = HashMap::new();
-        for (p, pack) in packs.iter().enumerate() {
-            for &i in pack {
-                pack_of_owner.insert(i, p);
-            }
-        }
-        for (i, digest) in duplicates {
-            packs[pack_of_owner[&owner_of_digest[&digest]]].push(i);
-        }
-        for pack in &mut packs {
-            pack.sort_unstable();
-        }
-        SlatePlan { packs, owners }
-    }
-}
-
-/// The packing-relevant geometry of a canonical cell: which edges carry a
-/// 1×1 conv, a 3×3 conv, or no convolution at all. Cells with equal
-/// signatures fill every per-edge conv bucket of a pack completely; the
-/// non-conv operations (none / skip / pool) never pack, so they all map to
-/// one class.
-fn geometry_signature(cell: &CellTopology) -> u64 {
-    cell.edge_ops().iter().fold(0u64, |sig, op| {
-        sig * 4
-            + match op {
-                Operation::NorConv1x1 => 1,
-                Operation::NorConv3x3 => 2,
-                Operation::None | Operation::SkipConnect | Operation::AvgPool3x3 => 0,
-            }
-    })
 }
 
 #[cfg(test)]
@@ -276,198 +42,47 @@ mod tests {
     use super::*;
     use crate::{MicroNasConfig, SearchContext};
     use micronas_datasets::DatasetKind;
-    use micronas_searchspace::SearchSpace;
+    use micronas_searchspace::{Operation, SearchSpace};
 
-    fn tiny_context(width: usize) -> SearchContext {
-        SearchContext::new(DatasetKind::Cifar10, &MicroNasConfig::tiny_test())
-            .unwrap()
-            .with_pack_width(width)
+    fn tiny_context() -> SearchContext {
+        SearchContext::new(DatasetKind::Cifar10, &MicroNasConfig::tiny_test()).unwrap()
     }
 
     #[test]
-    fn evaluate_all_is_bitwise_identical_across_pack_widths() {
-        let space = micronas_searchspace::SearchSpace::nas_bench_201();
-        let cells: Vec<CellTopology> = [5_000usize, 7_000, 404, 11_111, 0, 8_888, 5_000]
-            .iter()
-            .map(|&i| space.cell(i).unwrap())
-            .collect();
-        let reference: Vec<_> = {
-            let ctx = tiny_context(1);
-            cells.iter().map(|&c| ctx.evaluate(c).unwrap()).collect()
-        };
-        for width in [1usize, 2, 8] {
-            let ctx = tiny_context(width);
-            let batched = BatchedEvaluator::new(&ctx).evaluate_all(&cells).unwrap();
-            assert_eq!(batched.len(), cells.len());
-            for (i, (r, b)) in reference.iter().zip(&batched).enumerate() {
-                assert_eq!(**r, **b, "width {width} member {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn feasibility_all_matches_per_cell_checks() {
-        let ctx = tiny_context(8);
-        let cells: Vec<CellTopology> = (0..6).map(|i| ctx.space().cell(i * 999).unwrap()).collect();
-        let bulk = BatchedEvaluator::new(&ctx).feasibility_all(&cells).unwrap();
-        for (cell, &ok) in cells.iter().zip(&bulk) {
-            assert_eq!(ctx.is_feasible(*cell).unwrap(), ok);
-        }
-    }
-
-    #[test]
-    fn evaluator_exposes_its_context() {
-        let ctx = tiny_context(4);
-        let eval = BatchedEvaluator::new(&ctx);
-        assert_eq!(eval.context().pack_width(), 4);
-        assert_eq!(eval.scheduler().width(), 4);
-        assert!(eval.evaluate_all(&[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn scheduler_groups_same_geometry_and_attaches_duplicates_to_owners() {
-        use micronas_searchspace::Operation as Op;
+    fn plan_numbers_classes_in_first_seen_order_and_joins_twins() {
         let space = SearchSpace::nas_bench_201();
-        // Hunt down two distinct candidates whose canonical forms share a
-        // geometry signature, plus one with a different signature — the
-        // scheduler sees canonical geometry, which arbitrary hand-built
-        // cells do not control.
-        let sig_of = |cell: &CellTopology| geometry_signature(&cell.canonical_form());
-        let digest_of =
-            |cell: &CellTopology| micronas_store::ArchDigest::of(&cell.canonical_form()).value();
-        let a = space.cell(7_000).unwrap();
-        let b = (0..15_625)
-            .map(|i| space.cell(i).unwrap())
-            .find(|c| sig_of(c) == sig_of(&a) && digest_of(c) != digest_of(&a))
-            .expect("some other candidate shares cell 7000's conv layout");
-        let c = (0..15_625)
-            .map(|i| space.cell(i).unwrap())
-            .find(|c| sig_of(c) != sig_of(&a))
-            .expect("some candidate has a different conv layout");
-
-        let slate = vec![a, c, b, a];
-        let plan = SlateScheduler::new(2).plan(&slate);
-        assert_eq!(plan.owner_count(), 3);
-        assert_eq!(plan.packs().len(), 2, "ceil(3 owners / width 2)");
-        // The same-signature owners (0 and 2) pack together despite the
-        // different-signature candidate arriving between them, the
-        // duplicate rides with its owner, and the odd one out fills the
-        // remainder pack.
-        assert_eq!(plan.packs()[0], vec![0, 2, 3]);
-        assert_eq!(plan.packs()[1], vec![1]);
-
-        // Isomorphic twins dedup to one owner: the canonical digest, not
-        // the raw representation, keys ownership.
-        let conv = CellTopology::new([
-            Op::NorConv3x3,
-            Op::SkipConnect,
-            Op::None,
-            Op::AvgPool3x3,
-            Op::NorConv1x1,
-            Op::None,
+        let twin = CellTopology::new([
+            Operation::NorConv3x3,
+            Operation::SkipConnect,
+            Operation::None,
+            Operation::AvgPool3x3,
+            Operation::NorConv1x1,
+            Operation::None,
         ]);
-        let twins = vec![conv, conv.intermediate_swap().unwrap()];
-        let twin_plan = SlateScheduler::new(2).plan(&twins);
-        assert_eq!(twin_plan.owner_count(), 1);
-        assert_eq!(twin_plan.packs(), &[vec![0, 1]]);
-    }
-
-    /// Satellite property check: on randomized mixed-geometry slates the
-    /// plan is a permutation of the slate and its pack count is the
-    /// information-theoretic minimum `ceil(owners / width)` — so its fill
-    /// (owners per dispatched pack) is at least what fixed-stride slicing
-    /// achieves even when the stride path is granted a perfectly warm
-    /// cross-pack cache (every chunk holding at least one first-occurrence
-    /// candidate costs it a dispatch).
-    #[test]
-    fn scheduler_plan_is_a_permutation_with_fill_at_least_fixed_stride() {
-        let space = SearchSpace::nas_bench_201();
-        let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..32 {
-            let width = 1 + (next() % 8) as usize;
-            let len = 1 + (next() % 40) as usize;
-            let cells: Vec<CellTopology> = (0..len)
-                .map(|_| {
-                    // A third of the draws come from a small pool so slates
-                    // carry duplicates; the rest roam the whole space.
-                    let idx = if next() % 3 == 0 {
-                        (next() % 40) as usize
-                    } else {
-                        (next() % 15_625) as usize
-                    };
-                    space.cell(idx).unwrap()
-                })
-                .collect();
-            let plan = SlateScheduler::new(width).plan(&cells);
-
-            let mut seen: Vec<usize> = plan.packs().iter().flatten().copied().collect();
-            seen.sort_unstable();
-            let expected: Vec<usize> = (0..len).collect();
-            assert_eq!(seen, expected, "trial {trial}: plan must permute the slate");
-
-            let owners = plan.owner_count();
-            assert_eq!(
-                plan.packs().len(),
-                owners.div_ceil(width),
-                "trial {trial}: pack count must be minimal"
-            );
-            for pack in plan.packs() {
-                let distinct: std::collections::HashSet<u64> = pack
-                    .iter()
-                    .map(|&i| micronas_store::ArchDigest::of(&cells[i].canonical_form()).value())
-                    .collect();
-                assert!(
-                    distinct.len() <= width,
-                    "trial {trial}: a pack holds more than `width` distinct candidates"
-                );
-            }
-
-            // Fixed-stride baseline: mark each slate position that carries
-            // the first occurrence of its canonical digest, then count the
-            // chunks containing at least one of them.
-            let mut first_seen = std::collections::HashSet::new();
-            let firsts: Vec<bool> = cells
-                .iter()
-                .map(|cell| {
-                    first_seen
-                        .insert(micronas_store::ArchDigest::of(&cell.canonical_form()).value())
-                })
-                .collect();
-            let stride_dispatches = firsts
-                .chunks(width)
-                .filter(|chunk| chunk.iter().any(|&f| f))
-                .count();
-            assert!(
-                plan.packs().len() <= stride_dispatches,
-                "trial {trial}: {} scheduled packs vs {} fixed-stride dispatches",
-                plan.packs().len(),
-                stride_dispatches
-            );
-        }
+        let a = space.cell(42).unwrap();
+        let b = space.cell(7_000).unwrap();
+        let cells = [a, twin, b, a, twin.intermediate_swap().unwrap(), b];
+        let plan = SlatePlan::of(&cells);
+        assert_eq!(plan.classes, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(plan.representatives, vec![a, twin, b]);
+        assert!(SlatePlan::of(&[]).representatives.is_empty());
     }
 
     #[test]
     fn evaluate_all_resolves_duplicates_exactly_like_the_sequential_path() {
         let space = SearchSpace::nas_bench_201();
-        // A slate longer than one pack whose duplicates straddle what the
-        // old fixed-stride slicing would have made separate packs.
+        // Duplicates spread across the slate, some far from their first
+        // occurrence.
         let indices = [7_000usize, 42, 7_000, 11_111, 404, 42, 9_000, 7_000, 1];
         let cells: Vec<CellTopology> = indices.iter().map(|&i| space.cell(i).unwrap()).collect();
-        let seq_ctx = tiny_context(4);
-        let batch_ctx = tiny_context(4);
+        let seq_ctx = tiny_context();
+        let batch_ctx = tiny_context();
         let sequential: Vec<_> = cells
             .iter()
             .map(|&c| seq_ctx.evaluate(c).unwrap())
             .collect();
-        let batched = BatchedEvaluator::new(&batch_ctx)
-            .evaluate_all(&cells)
-            .unwrap();
+        let batched = batch_ctx.evaluate_all(&cells).unwrap();
+        assert_eq!(batched.len(), sequential.len());
         for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
             assert_eq!(**s, **b, "member {i}");
         }
@@ -475,7 +90,7 @@ mod tests {
         assert_eq!(
             seq_ctx.cache_stats(),
             batch_ctx.cache_stats(),
-            "duplicates riding in their owner's pack must count exactly like \
+            "duplicates resolved from their class must count exactly like \
              sequential context-cache hits"
         );
     }

@@ -1,3 +1,4 @@
+use crate::batch::SlatePlan;
 use crate::{EvalCacheStats, MicroNasConfig, Result};
 use micronas_datasets::DatasetKind;
 use micronas_hw::{HardwareConstraints, HardwareEvaluator, HardwareIndicators};
@@ -454,18 +455,10 @@ impl SearchContext {
     /// Propagates proxy evaluation failures (the first failing class in
     /// slate order wins).
     pub fn evaluate_all(&self, cells: &[CellTopology]) -> Result<Vec<Arc<CandidateEvaluation>>> {
-        let mut class_of_digest: HashMap<u64, usize> = HashMap::new();
-        let mut representatives: Vec<CellTopology> = Vec::new();
-        let classes: Vec<usize> = cells
-            .iter()
-            .map(|cell| {
-                let digest = ArchDigest::of(&cell.canonical_form()).value();
-                *class_of_digest.entry(digest).or_insert_with(|| {
-                    representatives.push(*cell);
-                    representatives.len() - 1
-                })
-            })
-            .collect();
+        let SlatePlan {
+            representatives,
+            classes,
+        } = SlatePlan::of(cells);
         let evaluated: Vec<Arc<CandidateEvaluation>> = representatives
             .par_iter()
             .map(|&cell| self.evaluate(cell))
@@ -962,6 +955,51 @@ mod tests {
                 runs.push((evals, stats));
             }
             assert_eq!(runs[0], runs[1], "store {with_store}: 1 vs 4 threads");
+        }
+    }
+
+    /// The slate path (which replaced packed evaluation) against one
+    /// `evaluate` call per member: same values and the same counters, except
+    /// that without a store the sequential path recomputes the isomorphic
+    /// twin's zero-cost record, which the slate resolves from its class.
+    #[test]
+    fn packed_evaluation_matches_sequential_evaluation_and_counters() {
+        let config = MicroNasConfig::tiny_test();
+        let context = |with_store: bool| match with_store {
+            false => SearchContext::new(DatasetKind::Cifar10, &config).unwrap(),
+            true => SearchContext::with_store(
+                DatasetKind::Cifar10,
+                &config,
+                Arc::new(EvalStore::in_memory(config.store_namespace())),
+            )
+            .unwrap(),
+        };
+        for with_store in [false, true] {
+            let seq_ctx = context(with_store);
+            let slate_ctx = context(with_store);
+            let cells = mixed_slate(&seq_ctx);
+
+            let sequential: Vec<_> = cells
+                .iter()
+                .map(|&c| seq_ctx.evaluate(c).unwrap())
+                .collect();
+            let slate = slate_ctx.evaluate_all(&cells).unwrap();
+
+            assert_eq!(slate.len(), sequential.len());
+            for (i, (s, p)) in sequential.iter().zip(&slate).enumerate() {
+                assert_eq!(**s, **p, "store {with_store}, member {i}");
+            }
+            assert_eq!(seq_ctx.evaluation_count(), slate_ctx.evaluation_count());
+            let seq_stats = seq_ctx.cache_stats();
+            let twin_recomputations = usize::from(!with_store);
+            assert_eq!(
+                slate_ctx.cache_stats(),
+                EvalCacheStats {
+                    hits: seq_stats.hits + twin_recomputations,
+                    misses: seq_stats.misses - twin_recomputations,
+                },
+                "store {with_store}"
+            );
         }
     }
 

@@ -73,6 +73,7 @@
 
 #![warn(missing_docs)]
 
+mod batch;
 mod config;
 mod context;
 mod cost;
