@@ -21,6 +21,10 @@ pub struct ForwardOutput {
     /// Pre-ReLU node activations feeding each convolution edge, in
     /// (cell, edge) order. Their sign patterns define the linear region a
     /// sample falls into.
+    ///
+    /// On the eager path these buffers come from the caller's [`Workspace`]
+    /// recycling pool; hand them back with [`Workspace::recycle`] once read
+    /// so the next forward pass reuses them instead of allocating.
     pub pre_activations: Vec<Tensor>,
 }
 
@@ -255,8 +259,8 @@ impl CellNetwork {
     /// backward pass. All large intermediates come from the workspace
     /// recycling pool; pair with [`recycle_trace`] so steady-state
     /// evaluation performs no allocation. `collect_pre_activations` controls
-    /// whether the pre-ReLU conv inputs are copied out (the linear-region
-    /// proxy needs them, the gradient paths do not).
+    /// whether the pre-ReLU conv inputs are copied out, into pooled buffers
+    /// (the linear-region proxy needs them, the gradient paths do not).
     fn forward_trace(
         &self,
         input: &Tensor,
@@ -299,7 +303,7 @@ impl CellNetwork {
                                 .as_ref()
                                 .expect("conv edge always has a layer");
                             if collect_pre_activations {
-                                pre_activations.push(nodes[src].clone());
+                                pre_activations.push(pooled_copy(&nodes[src], workspace));
                             }
                             let activated = pooled_relu(&nodes[src], workspace);
                             let c = conv.forward_on(backend, &activated, workspace)?;

@@ -405,6 +405,10 @@ impl NtkAccumulator {
         let _span = micronas_telemetry::span!("proxy.ntk.eigensolve");
         let full = sym_eigenvalues_with(gram, EigenOptions::default(), &mut self.eigen_scratch)
             .map_err(|e| ProxyError::Eigen(e.to_string()))?;
+        // A health counter only: an unconverged spectrum is still used as is.
+        if !full.converged {
+            micronas_telemetry::counter_add("proxy.ntk.eigensolve.unconverged", 1);
+        }
         // Centring the per-sample gradients (see `finish_gram`) pins one
         // structural zero eigenvalue (the all-ones direction); drop it so
         // the condition indices describe the informative subspace.
@@ -556,5 +560,26 @@ mod tests {
         assert_eq!(r2.repeats, 2);
         // The two-repeat average is generally different from the single run.
         assert!(r1.condition_number > 0.0 && r2.condition_number > 0.0);
+    }
+
+    #[test]
+    fn eigensolve_without_sweeps_reports_unconverged() {
+        // `NtkAccumulator::absorb` counts `proxy.ntk.eigensolve.unconverged`
+        // off this flag: a solve that runs out of sweeps on a non-diagonal
+        // Gram must raise it.
+        let gram = Tensor::from_vec(
+            Shape::d2(3, 3),
+            vec![2.0, 1.0, 0.5, 1.0, 3.0, 0.25, 0.5, 0.25, 4.0],
+        )
+        .unwrap();
+        let options = EigenOptions {
+            max_sweeps: 0,
+            ..EigenOptions::default()
+        };
+        let report = sym_eigenvalues_with(&gram, options, &mut Vec::new()).unwrap();
+        assert!(!report.converged);
+        assert_eq!(report.sweeps, 0);
+        let full = sym_eigenvalues_with(&gram, EigenOptions::default(), &mut Vec::new()).unwrap();
+        assert!(full.converged);
     }
 }
