@@ -1,6 +1,6 @@
 //! End-to-end NTK evaluation benchmarks.
 //!
-//! Four comparisons, all on the paper-default NTK configuration (batch 32,
+//! Three comparisons, all on the paper-default NTK configuration (batch 32,
 //! 16×16 proxy networks, two cells):
 //!
 //! 1. **direct vs im2col/GEMM** conv kernels — the PR 1 engine acceptance;
@@ -15,23 +15,17 @@
 //!    point where shared non-kernel work dominates) and the all-conv3×3
 //!    cell, the kernel-dominated end of the space where a *kernel* backend
 //!    comparison is meaningful. The regression gate rides on the conv cell.
-//! 4. **eager vs fused kernel-graph execution** — the graph-pipeline
-//!    acceptance: the `fusing` compiler (DCE + conv→ReLU + backward-pair
-//!    fusion over a cached compiled plan) against the eager call tree, both
-//!    on the paper-default blocked-GEMM backend, on the sparse
-//!    [`BENCH_CELL`] where dead edges and scheduling overhead dominate.
 //!
 //! Headline numbers land in `target/bench-json/ntk_engine.json`.
 //!
 //! # Smoke mode
 //!
 //! `MICRONAS_BENCH_SMOKE=1` runs reduced-iteration versions of the
-//! looped-vs-batched, blocked-vs-SIMD and eager-vs-fused comparisons plus a
-//! telemetry NullSink overhead check, and **fails** (panics) if the batched
-//! path regresses below the looped path, the SIMD backend regresses below
-//! the blocked-GEMM backend on the conv-heavy cell, the fused plan regresses
-//! below the eager path on the sparse cell, or the NullSink costs more than
-//! 5% — the CI guards against a silent fallback onto a slow route.
+//! looped-vs-batched and blocked-vs-SIMD comparisons plus a telemetry
+//! NullSink overhead check, and **fails** (panics) if the batched path
+//! regresses below the looped path, the SIMD backend regresses below the
+//! blocked-GEMM backend on the conv-heavy cell, or the NullSink costs more
+//! than 5% — the CI guards against a silent fallback onto a slow route.
 //! Criterion's own `--test` flag still runs every benchmark body once
 //! without timing.
 
@@ -91,20 +85,6 @@ fn backend_seconds(kind: KernelBackendKind, cell: CellTopology, runs: usize, rou
         .fold(f64::INFINITY, f64::min)
 }
 
-/// Paper-default NTK evaluation seconds through a compiled kernel-graph
-/// plan (paper-default blocked-GEMM backend), best-of-`rounds`.
-fn compiler_seconds(
-    kind: micronas_graph::CompilerKind,
-    cell: CellTopology,
-    runs: usize,
-    rounds: usize,
-) -> f64 {
-    let evaluator = NtkEvaluator::new(NtkConfig::paper_default()).with_compiler(kind.instantiate());
-    (0..rounds)
-        .map(|_| timed_seconds(&evaluator, cell, runs))
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Whether `MICRONAS_BENCH_SMOKE=1` smoke mode is active.
 fn smoke_mode() -> bool {
     std::env::var("MICRONAS_BENCH_SMOKE")
@@ -130,11 +110,6 @@ fn compare_and_record(runs: usize) {
     let simd_conv = backend_seconds(KernelBackendKind::Simd, conv_cell, runs.min(3), 3);
     let blocked_sparse = backend_seconds(KernelBackendKind::BlockedGemm, sparse_cell, runs, 3);
     let simd_sparse = backend_seconds(KernelBackendKind::Simd, sparse_cell, runs, 3);
-
-    // Graph-pipeline comparison: eager call tree vs the fusing compiler's
-    // cached plan, both on the paper-default backend, on the sparse cell.
-    let eager_sparse = backend_seconds(KernelBackendKind::BlockedGemm, sparse_cell, runs, 3);
-    let fused_sparse = compiler_seconds(micronas_graph::CompilerKind::Fusing, sparse_cell, runs, 3);
 
     // Store-backed provenance: how much of a real search's NTK traffic the
     // evaluation caches absorb. One proxy-only pruning search at the fast
@@ -166,11 +141,6 @@ fn compare_and_record(runs: usize) {
         "  sparse bench cell:         {blocked_sparse:>8.4} s -> {simd_sparse:>8.4} s  ({:.2}x)",
         blocked_sparse / simd_sparse
     );
-    println!("kernel-graph pipeline (eager vs fusing compiler, best of 3):");
-    println!(
-        "  sparse bench cell:         {eager_sparse:>8.4} s -> {fused_sparse:>8.4} s  ({:.2}x)",
-        eager_sparse / fused_sparse
-    );
     println!(
         "  search eval-cache:         {} hits / {} misses ({:.1}% absorbed)",
         cache.hits,
@@ -201,12 +171,6 @@ fn compare_and_record(runs: usize) {
         (
             "speedup_simd_vs_blocked_bench_cell".to_string(),
             blocked_sparse / simd_sparse,
-        ),
-        ("eager_seconds_bench_cell".to_string(), eager_sparse),
-        ("fused_seconds_bench_cell".to_string(), fused_sparse),
-        (
-            "speedup_fused_vs_eager_bench_cell".to_string(),
-            eager_sparse / fused_sparse,
         ),
     ];
     fields.extend(cache_stat_fields("search_cache", &cache));
@@ -295,53 +259,6 @@ fn bench_ntk_engines(c: &mut Criterion) {
             simd_s <= blocked_s * 1.25,
             "the simd backend ({simd_s:.4}s) regressed below the blocked_gemm \
              backend ({blocked_s:.4}s) on the conv-heavy cell"
-        );
-
-        // Graph-pipeline gate: the fusing compiler's cached plan must not
-        // regress below the eager call tree on the sparse bench cell (the
-        // fused path's home turf — dead edges and dispatch overhead
-        // dominate there). Same noise-robustness scheme: interleaved
-        // best-of-3, a warning at parity, a hard failure only past 1.25×.
-        banner(
-            "Graph smoke: fused plans must not regress below eager",
-            "fusing-compiler regression gate (sparse bench cell)",
-        );
-        let space = SearchSpace::nas_bench_201();
-        let sparse_cell = space.cell(BENCH_CELL).expect("valid index");
-        let (mut eager_s, mut fused_s) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            eager_s = eager_s.min(backend_seconds(
-                KernelBackendKind::BlockedGemm,
-                sparse_cell,
-                2,
-                1,
-            ));
-            fused_s = fused_s.min(compiler_seconds(
-                micronas_graph::CompilerKind::Fusing,
-                sparse_cell,
-                2,
-                1,
-            ));
-        }
-        println!("gate: eager {eager_s:.4}s vs fused {fused_s:.4}s (best of 3)");
-        record_bench_json(
-            "ntk_engine_graph_smoke",
-            &[
-                ("eager_seconds", eager_s),
-                ("fused_seconds", fused_s),
-                ("speedup_fused_vs_eager", eager_s / fused_s),
-            ],
-        );
-        if fused_s > eager_s {
-            eprintln!(
-                "warning: the fusing compiler ({fused_s:.4}s) is not beating the \
-                 eager path ({eager_s:.4}s) on this runner"
-            );
-        }
-        assert!(
-            fused_s <= eager_s * 1.25,
-            "the fusing compiler ({fused_s:.4}s) regressed below the eager \
-             path ({eager_s:.4}s) on the sparse bench cell"
         );
 
         // Telemetry gate: an installed NullSink reports `is_enabled() ==

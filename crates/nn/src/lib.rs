@@ -42,7 +42,6 @@ mod error;
 mod gradient;
 mod layers;
 mod network;
-mod plan;
 
 pub use config::ProxyNetworkConfig;
 pub use error::NnError;

@@ -4,7 +4,6 @@ use crate::{
     ConvLayer, LinearLayer, NnError, ParameterGradients, PerSampleGradients, ProxyNetworkConfig,
     Result,
 };
-use micronas_graph::Compiler;
 use micronas_searchspace::{CellTopology, EdgeId, Operation, NUM_EDGES, NUM_NODES};
 use micronas_tensor::{
     avg_pool2d, global_avg_pool, global_avg_pool_backward, hash_mix,
@@ -22,17 +21,17 @@ pub struct ForwardOutput {
     /// (cell, edge) order. Their sign patterns define the linear region a
     /// sample falls into.
     ///
-    /// On the eager path these buffers come from the caller's [`Workspace`]
-    /// recycling pool; hand them back with [`Workspace::recycle`] once read
-    /// so the next forward pass reuses them instead of allocating.
+    /// These buffers come from the caller's [`Workspace`] recycling pool;
+    /// hand them back with [`Workspace::recycle`] once read so the next
+    /// forward pass reuses them instead of allocating.
     pub pre_activations: Vec<Tensor>,
 }
 
 /// One stacked instance of the searched cell: a convolution layer for every
 /// parameterised edge.
 #[derive(Debug, Clone)]
-pub(crate) struct CellInstance {
-    pub(crate) edge_convs: Vec<Option<ConvLayer>>,
+struct CellInstance {
+    edge_convs: Vec<Option<ConvLayer>>,
 }
 
 /// Intermediate tensors of a forward pass, retained for backpropagation.
@@ -71,16 +70,12 @@ struct ForwardTrace {
 /// tiny `global_avg_pool` reduction is shared by all backends.
 #[derive(Debug, Clone)]
 pub struct CellNetwork {
-    pub(crate) cell: CellTopology,
-    pub(crate) config: ProxyNetworkConfig,
-    pub(crate) stem: ConvLayer,
-    pub(crate) cells: Vec<CellInstance>,
-    pub(crate) classifier: LinearLayer,
+    cell: CellTopology,
+    config: ProxyNetworkConfig,
+    stem: ConvLayer,
+    cells: Vec<CellInstance>,
+    classifier: LinearLayer,
     backend: Arc<dyn KernelBackend>,
-    /// When set, `forward_with` and the batched per-sample gradient path
-    /// execute through a compiled kernel-graph plan instead of the eager
-    /// kernel sequence. `None` (the default) is the eager path.
-    compiler: Option<Arc<dyn Compiler>>,
 }
 
 impl CellNetwork {
@@ -162,41 +157,7 @@ impl CellNetwork {
             cells,
             classifier,
             backend,
-            compiler: None,
         })
-    }
-
-    /// Routes the forward and batched per-sample gradient passes through a
-    /// compiled kernel-graph plan built by `compiler` (the weights and the
-    /// execution backend are unchanged — only the execution strategy is).
-    /// Plans are cached per `(topology, geometry, batch, compiler)` across
-    /// the process, so repeated evaluations compile once.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
-    /// The graph compiler this network executes through, if any (`None`
-    /// means the eager kernel path).
-    pub fn compiler(&self) -> Option<&Arc<dyn Compiler>> {
-        self.compiler.as_ref()
-    }
-
-    /// Lowers this network's forward pass at batch size `n` to a kernel
-    /// graph (the IR the graph pipeline compiles; see
-    /// [`CellNetwork::with_compiler`]). With `collect_pre` set, the graph
-    /// additionally exposes the pre-ReLU conv inputs as `pre{i}` outputs,
-    /// as the linear-region proxy consumes them. Useful for inspection and
-    /// debug dumps ([`micronas_graph::Graph::to_dot`]).
-    pub fn lower_forward(&self, n: usize, collect_pre: bool) -> micronas_graph::Graph {
-        crate::plan::lower(self, n, crate::plan::PlanMode::Forward { collect_pre })
-    }
-
-    /// Lowers this network's batched per-sample gradient sweep at batch
-    /// size `n` to a kernel graph producing the `[n, P]` `matrix` output.
-    pub fn lower_per_sample_grad(&self, n: usize) -> micronas_graph::Graph {
-        crate::plan::lower(self, n, crate::plan::PlanMode::PerSampleGrad)
     }
 
     /// The searched cell this network instantiates.
@@ -349,10 +310,6 @@ impl CellNetwork {
     /// Returns [`NnError::InputMismatch`] if the input geometry does not
     /// match the configuration.
     pub fn forward_with(&self, input: &Tensor, workspace: &mut Workspace) -> Result<ForwardOutput> {
-        if let Some(compiler) = &self.compiler {
-            self.check_input(input)?;
-            return crate::plan::forward_graph(self, input, workspace, compiler);
-        }
         let (trace, pre_activations) = self.forward_trace(input, workspace, true)?;
         let logits = trace.logits.clone();
         recycle_trace(trace, workspace);
@@ -446,10 +403,6 @@ impl CellNetwork {
         batch: &Tensor,
         workspace: &mut Workspace,
     ) -> Result<PerSampleGradients> {
-        if let Some(compiler) = &self.compiler {
-            self.check_input(batch)?;
-            return crate::plan::per_sample_gradient_matrix_graph(self, batch, workspace, compiler);
-        }
         let (trace, _) = self.forward_trace(batch, workspace, false)?;
         let n = batch.shape().dims()[0];
         let p = self.num_parameters();
@@ -553,7 +506,7 @@ impl CellNetwork {
     /// order (stem, cells in order with edges in canonical order,
     /// classifier). Non-conv edges get `usize::MAX`. Returns the table and
     /// the classifier offset.
-    pub(crate) fn edge_parameter_offsets(&self) -> (Vec<[usize; NUM_EDGES]>, usize) {
+    fn edge_parameter_offsets(&self) -> (Vec<[usize; NUM_EDGES]>, usize) {
         let mut offset = self.stem.num_parameters();
         let mut table = Vec::with_capacity(self.cells.len());
         for cell in &self.cells {
@@ -978,64 +931,6 @@ mod tests {
         cell = cell.with_op(EdgeId(5), Operation::NorConv3x3).unwrap();
         cell = cell.with_op(EdgeId(3), Operation::SkipConnect).unwrap();
         cell
-    }
-
-    #[test]
-    fn graph_interpreter_matches_eager_bitwise() {
-        let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cell = conv_chain_cell();
-        let config = ProxyNetworkConfig::tiny(10);
-        let net = CellNetwork::new(&cell, &config, 42).unwrap();
-        let gnet = net
-            .clone()
-            .with_compiler(micronas_graph::CompilerKind::Interpreter.instantiate());
-        let batch = random_batch(&config, 3, 7);
-        let mut ws = Workspace::default();
-
-        let eager = net.forward_with(&batch, &mut ws).unwrap();
-        let graph = gnet.forward_with(&batch, &mut ws).unwrap();
-        assert_eq!(eager.logits.data(), graph.logits.data());
-        assert_eq!(eager.pre_activations.len(), graph.pre_activations.len());
-        for (a, b) in eager.pre_activations.iter().zip(&graph.pre_activations) {
-            assert_eq!(a.data(), b.data());
-        }
-
-        let me = net
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        let mg = gnet
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        assert_eq!(me.values(), mg.values());
-    }
-
-    #[test]
-    fn graph_fusing_matches_eager_within_tolerance() {
-        let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let cell = conv_chain_cell();
-        let config = ProxyNetworkConfig::tiny(10);
-        let net = CellNetwork::new(&cell, &config, 42).unwrap();
-        let gnet = net
-            .clone()
-            .with_compiler(micronas_graph::CompilerKind::Fusing.instantiate());
-        let batch = random_batch(&config, 3, 7);
-        let mut ws = Workspace::default();
-
-        let eager = net.forward_with(&batch, &mut ws).unwrap();
-        let graph = gnet.forward_with(&batch, &mut ws).unwrap();
-        for (a, b) in eager.logits.data().iter().zip(graph.logits.data()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "{a} vs {b}");
-        }
-
-        let me = net
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        let mg = gnet
-            .per_sample_gradient_matrix_with(&batch, &mut ws)
-            .unwrap();
-        for (a, b) in me.values().iter().zip(mg.values()) {
-            assert!((a - b).abs() <= 1e-4 * a.abs().max(1.0), "{a} vs {b}");
-        }
     }
 
     #[test]

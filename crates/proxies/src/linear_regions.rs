@@ -108,7 +108,6 @@ impl LinearRegionReport {
 pub struct LinearRegionEvaluator {
     config: LinearRegionConfig,
     backend: Arc<dyn KernelBackend>,
-    compiler: Option<Arc<dyn micronas_graph::Compiler>>,
 }
 
 impl LinearRegionEvaluator {
@@ -118,7 +117,6 @@ impl LinearRegionEvaluator {
         Self {
             config,
             backend: paper_default_backend(),
-            compiler: None,
         }
     }
 
@@ -134,19 +132,6 @@ impl LinearRegionEvaluator {
     /// The execution backend in force.
     pub fn backend(&self) -> &Arc<dyn KernelBackend> {
         &self.backend
-    }
-
-    /// Returns a copy routing the probe forward passes through a compiled
-    /// kernel-graph plan ([`micronas_nn::CellNetwork::with_compiler`]).
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn micronas_graph::Compiler>) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
-    /// The graph compiler in force, if any (`None` means eager execution).
-    pub fn compiler(&self) -> Option<&Arc<dyn micronas_graph::Compiler>> {
-        self.compiler.as_ref()
     }
 
     /// The evaluator's configuration.
@@ -193,10 +178,7 @@ impl LinearRegionEvaluator {
         self.config.validate()?;
         let mut net_config = self.config.network;
         net_config.num_classes = dataset.num_classes().min(16);
-        let mut net = CellNetwork::with_backend(&cell, &net_config, seed, self.backend.clone())?;
-        if let Some(compiler) = &self.compiler {
-            net = net.with_compiler(Arc::clone(compiler));
-        }
+        let net = CellNetwork::with_backend(&cell, &net_config, seed, self.backend.clone())?;
         let data = SyntheticDataset::new(dataset, seed);
 
         let mut acc = RegionAccumulator::new(self.config.num_segments);

@@ -2,7 +2,6 @@
 
 use crate::{ProxyError, Result};
 use micronas_datasets::{DatasetKind, SyntheticDataset};
-use micronas_graph::Compiler;
 use micronas_nn::{CellNetwork, ProxyNetworkConfig};
 use micronas_searchspace::CellTopology;
 use micronas_tensor::{
@@ -163,7 +162,6 @@ pub struct NtkEvaluator {
     config: NtkConfig,
     gradient_path: GradientPath,
     backend: Arc<dyn KernelBackend>,
-    compiler: Option<Arc<dyn Compiler>>,
 }
 
 impl NtkEvaluator {
@@ -174,7 +172,6 @@ impl NtkEvaluator {
             config,
             gradient_path: GradientPath::default(),
             backend: paper_default_backend(),
-            compiler: None,
         }
     }
 
@@ -198,21 +195,6 @@ impl NtkEvaluator {
     /// The execution backend in force.
     pub fn backend(&self) -> &Arc<dyn KernelBackend> {
         &self.backend
-    }
-
-    /// Returns a copy routing the batched gradient sweep through a compiled
-    /// kernel-graph plan ([`micronas_nn::CellNetwork::with_compiler`]). The
-    /// looped reference path ignores the compiler (it exists precisely to
-    /// stay the eager oracle).
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: Arc<dyn Compiler>) -> Self {
-        self.compiler = Some(compiler);
-        self
-    }
-
-    /// The graph compiler in force, if any (`None` means eager execution).
-    pub fn compiler(&self) -> Option<&Arc<dyn Compiler>> {
-        self.compiler.as_ref()
     }
 
     /// The gradient formulation in force.
@@ -287,11 +269,8 @@ impl NtkEvaluator {
                 net_config.input_resolution,
                 repeat as u64,
             )?;
-            let mut net =
+            let net =
                 CellNetwork::with_backend(&cell, &net_config, repeat_seed, self.backend.clone())?;
-            if let Some(compiler) = &self.compiler {
-                net = net.with_compiler(Arc::clone(compiler));
-            }
             let gram = self.gram_matrix(&net, &batch.images, workspace)?;
             acc.absorb(repeat, &gram)?;
         }

@@ -146,9 +146,11 @@ impl Collector {
                     count: stats.count,
                     total_ns: stats.total_ns,
                     max_ns: stats.max_ns,
-                    p50_ns: stats.histogram.quantile(0.50),
-                    p90_ns: stats.histogram.quantile(0.90),
-                    p99_ns: stats.histogram.quantile(0.99),
+                    // A log2 bucket's upper bound can exceed every sample
+                    // in it; no percentile is larger than the maximum.
+                    p50_ns: stats.histogram.quantile(0.50).min(stats.max_ns),
+                    p90_ns: stats.histogram.quantile(0.90).min(stats.max_ns),
+                    p99_ns: stats.histogram.quantile(0.99).min(stats.max_ns),
                     threads: stats.threads.len(),
                 });
             }
@@ -197,11 +199,14 @@ pub struct SpanReport {
     pub total_ns: u64,
     /// Longest single span, nanoseconds.
     pub max_ns: u64,
-    /// Median duration estimate (log2-bucket upper bound), nanoseconds.
+    /// Median duration estimate, nanoseconds: the upper bound of the log2
+    /// bucket holding the median, capped at [`SpanReport::max_ns`].
     pub p50_ns: u64,
-    /// 90th-percentile duration estimate, nanoseconds.
+    /// 90th-percentile duration estimate, nanoseconds (bucketed and capped
+    /// like [`SpanReport::p50_ns`]).
     pub p90_ns: u64,
-    /// 99th-percentile duration estimate, nanoseconds.
+    /// 99th-percentile duration estimate, nanoseconds (bucketed and capped
+    /// like [`SpanReport::p50_ns`]).
     pub p99_ns: u64,
     /// Number of distinct threads that recorded this label.
     pub threads: usize,
@@ -396,8 +401,21 @@ mod tests {
         assert_eq!(span.count, 40);
         assert_eq!(span.total_ns, 4000);
         assert_eq!(span.max_ns, 100);
-        assert_eq!(span.p50_ns, 127); // log2 bucket upper bound for 100
+        // The log2 bucket's upper bound (127) is capped at the maximum.
+        assert_eq!(span.p50_ns, 100);
         assert!(span.threads >= 1 && span.threads <= 4);
+    }
+
+    #[test]
+    fn single_sample_percentiles_equal_the_sample() {
+        let collector = Collector::new();
+        collector.record_span("once", 8_610_000);
+        let report = collector.report();
+        let span = report.span("once").unwrap();
+        assert_eq!(span.max_ns, 8_610_000);
+        assert_eq!(span.p50_ns, span.max_ns);
+        assert_eq!(span.p90_ns, span.max_ns);
+        assert_eq!(span.p99_ns, span.max_ns);
     }
 
     #[test]

@@ -592,7 +592,7 @@ pub fn conv2d_backward_weight_with(
 
 /// Writes `dstᵀ = src` for a row-major `[rows, cols]` `src` into a
 /// `[cols, rows]` destination.
-pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     debug_assert_eq!(src.len(), rows * cols);
     debug_assert_eq!(dst.len(), rows * cols);
     for r in 0..rows {

@@ -55,7 +55,6 @@
 mod backend;
 mod conv;
 mod error;
-pub mod fused;
 mod init;
 mod int8;
 mod linalg;
